@@ -1367,6 +1367,7 @@ FleetReport FleetScheduler::ReplayWithEvaluation(const EventStream& trace,
                                                  ReplaySampler* sampler) {
   FleetReport report;
   AdmissionCounter counter(observer);
+  TenantSnapshotCache snapshots(machines_.size());
   double last_time = 0.0;
   double attainment_weight = 0.0;
   double at_goal_weight = 0.0;
@@ -1404,32 +1405,12 @@ FleetReport FleetScheduler::ReplayWithEvaluation(const EventStream& trace,
       double ratio_rate = 0.0;
       double at_goal_rate = 0.0;
       double container_rate = 0.0;
-      // Under parallel hooks the per-machine performance snapshots — the
-      // dominant per-interval cost, a const model evaluation per tenant —
-      // fan out across the workers into a scratch table; the fold below
-      // then consumes them in machine-index order with the exact serial
-      // arithmetic. Serial replay keeps the fused snapshot-and-fold loop.
-      std::vector<std::vector<MachineScheduler::TenantSnapshot>> scratch;
-      if (hooks_ != nullptr && machines_.size() > 1) {
-        scratch.resize(machines_.size());
-        std::vector<std::function<void()>> tasks;
-        tasks.reserve(machines_.size());
-        for (size_t m = 0; m < machines_.size(); ++m) {
-          const Machine* machine = &machines_[m];
-          std::vector<MachineScheduler::TenantSnapshot>* slot = &scratch[m];
-          tasks.push_back([machine, slot] {
-            *slot = machine->scheduler->SnapshotPerformance(*machine->multi);
-          });
-        }
-        hooks_->RunBatch(&tasks);
-      }
+      // Only machines whose tenants changed since the last interval are
+      // re-evaluated; the fold still walks every tenant in machine order.
       for (size_t mi = 0; mi < machines_.size(); ++mi) {
         const Machine& machine = machines_[mi];
-        const std::vector<MachineScheduler::TenantSnapshot> snaps =
-            scratch.empty()
-                ? machine.scheduler->SnapshotPerformance(*machine.multi)
-                : std::move(scratch[mi]);
-        for (const MachineScheduler::TenantSnapshot& snap : snaps) {
+        for (const MachineScheduler::TenantSnapshot& snap :
+             snapshots.Get(mi, *machine.scheduler, *machine.multi)) {
           const double ratio =
               snap.goal_abs_throughput > 0.0
                   ? std::min(1.0, snap.measured_abs_throughput / snap.goal_abs_throughput)

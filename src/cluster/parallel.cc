@@ -197,7 +197,7 @@ void ParallelReplayEngine::RunBatch(std::vector<std::function<void()>>* tasks) {
   ++stats_.batches;
   stats_.batch_tasks += tasks->size();
   // One contiguous chunk per worker, shipped as a single composite task:
-  // a 1024-machine snapshot batch costs one lock + notify per worker, not
+  // a 1024-machine clock-sync batch costs one lock + notify per worker, not
   // per machine. The trailing flush is the barrier the hook contract
   // promises (results are fully written when RunBatch returns).
   const size_t workers = static_cast<size_t>(pool_.NumWorkers());

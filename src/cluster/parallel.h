@@ -3,10 +3,9 @@
 // The serial replay (FleetScheduler::Replay) interleaves three kinds of
 // work: coordinator-only *decisions* (admission, target choice, fleet
 // bookkeeping), per-machine *commits* (MachineScheduler::Submit), and
-// per-machine *read-only* batch work (clock sync, previews, performance
-// snapshots). Only the first kind orders the simulation; the other two are
-// embarrassingly parallel across machines. ParallelReplayEngine exploits
-// exactly that split:
+// per-machine *read-only* batch work (clock sync, previews). Only the first
+// kind orders the simulation; the other two are embarrassingly parallel
+// across machines. ParallelReplayEngine exploits exactly that split:
 //
 //   - Decisions stay on the coordinator thread, in trace order. Same-
 //     instant ContainerArrival events are admitted and routed there; the
@@ -18,9 +17,8 @@
 //     worker per cell group (cell % threads) keeps each cell's commits
 //     FIFO and single-writer, so two same-instant arrivals routed to one
 //     machine serialize naturally.
-//   - Batch work (SyncClocks, preview fills, per-machine performance
-//     snapshots) fans out over all workers between decisions, behind the
-//     fleet's flush barriers.
+//   - Batch work (SyncClocks, preview fills) fans out over all workers
+//     between decisions, behind the fleet's flush barriers.
 //
 // Determinism is restored at the merge stage: every observer callback is
 // sequence-numbered at decision time by a SequencingObserver and drained

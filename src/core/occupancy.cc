@@ -192,6 +192,13 @@ void EnumerateNodeSets(int num_nodes, int size, NodeSet& prefix,
 std::optional<Placement> RealizeAnywhereFree(const ImportantPlacement& ip,
                                              const Topology& topo, int vcpus,
                                              const OccupancyMap& occ) {
+  // A balanced request needs vcpus / NodeCount free threads on each of its
+  // nodes, hence at least vcpus free overall, or no node set passes the
+  // pre-filter below. Unbalanced requests still go through it, so the
+  // balance checks in RealizeOnFreeThreads keep firing.
+  if (occ.FreeThreadCount() < vcpus && vcpus % ip.NodeCount() == 0) {
+    return std::nullopt;
+  }
   std::vector<NodeSet> candidates;
   NodeSet prefix;
   EnumerateNodeSets(topo.num_nodes(), ip.NodeCount(), prefix, candidates);

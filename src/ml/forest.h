@@ -28,6 +28,12 @@ struct ForestParams {
 
 class RandomForest {
  public:
+  // Fits the trees concurrently, one thread per CPU in the process's
+  // affinity mask (at most one per tree, the calling thread included). Tree
+  // t draws only from the Fork(t) stream of the seed's generator, so the
+  // fitted forest is identical under any thread count or schedule. A tree's
+  // exception is rethrown here after every thread has joined; the forest is
+  // then left unfitted.
   void Fit(const Dataset& data, const ForestParams& params);
 
   std::vector<double> Predict(std::span<const double> features) const;
@@ -47,7 +53,8 @@ class RandomForest {
 
  private:
   std::vector<RegressionTree> trees_;
-  std::vector<std::vector<size_t>> bootstrap_rows_;  // per tree, for OOB
+  // Per tree, per training row: drawn into the bootstrap sample (for OOB).
+  std::vector<std::vector<bool>> in_bag_;
   size_t num_targets_ = 0;
 };
 

@@ -287,6 +287,8 @@ ScheduleOutcome MachineScheduler::TryPlace(ManagedContainer& container, double n
     }
 
     occupancy_.Acquire(request.id, *realized);
+    running_.insert(request.id);
+    ++tenant_generation_;
     container.state = ContainerState::kRunning;
     container.placement_id = ip.id;
     container.placement = *realized;
@@ -356,6 +358,8 @@ std::vector<ScheduleOutcome> MachineScheduler::Depart(int container_id, double n
 
   if (container.state == ContainerState::kRunning) {
     occupancy_.Release(container_id);
+    running_.erase(container_id);
+    ++tenant_generation_;
   } else {
     pending_.erase(std::remove(pending_.begin(), pending_.end(), container_id),
                    pending_.end());
@@ -395,8 +399,11 @@ std::vector<ScheduleOutcome> MachineScheduler::ReplacementPass(double now) {
   if (!policy_->Upgrades()) {
     return outcomes;
   }
-  for (auto& [id, container] : containers_) {
-    if (container.state != ContainerState::kRunning || container.meets_goal) {
+  // An upgrade moves a running container without changing who runs, so the
+  // live set is stable under this walk.
+  for (const int id : running_) {
+    ManagedContainer& container = containers_.at(id);
+    if (container.meets_goal) {
       continue;
     }
     const ImportantPlacementSet& ips = PlacementsFor(container.request.vcpus);
@@ -473,6 +480,7 @@ std::vector<ScheduleOutcome> MachineScheduler::ReplacementPass(double now) {
 
       occupancy_.Release(id);
       occupancy_.Acquire(id, *realized);
+      ++tenant_generation_;
       container.placement_id = ip.id;
       container.placement = *realized;
       container.memory_nodes = new_nodes;
@@ -538,13 +546,7 @@ const ManagedContainer* MachineScheduler::Find(int container_id) const {
 }
 
 std::vector<int> MachineScheduler::RunningIds() const {
-  std::vector<int> out;
-  for (const auto& [id, container] : containers_) {
-    if (container.state == ContainerState::kRunning) {
-      out.push_back(id);
-    }
-  }
-  return out;
+  return std::vector<int>(running_.begin(), running_.end());
 }
 
 std::vector<int> MachineScheduler::PendingIds() const { return pending_; }
@@ -559,25 +561,35 @@ double MachineScheduler::TimeAveragedUtilization() const {
 
 std::vector<MachineScheduler::TenantSnapshot> MachineScheduler::SnapshotPerformance(
     const MultiTenantModel& multi) const {
-  std::vector<int> running = RunningIds();
-  if (running.empty()) {
+  if (running_.empty()) {
     return {};
   }
   std::vector<MultiTenantModel::Tenant> tenants;
-  tenants.reserve(running.size());
-  for (int id : running) {
+  tenants.reserve(running_.size());
+  for (const int id : running_) {
     const ManagedContainer& container = containers_.at(id);
     tenants.push_back({&container.request.workload, container.placement});
   }
   const std::vector<PerfResult> results = multi.Evaluate(tenants);
   std::vector<TenantSnapshot> out;
-  out.reserve(running.size());
-  for (size_t i = 0; i < running.size(); ++i) {
-    const ManagedContainer& container = containers_.at(running[i]);
-    out.push_back({running[i], results[i].throughput_ops,
-                   container.goal_abs_throughput});
+  out.reserve(running_.size());
+  size_t i = 0;
+  for (const int id : running_) {
+    out.push_back({id, results[i++].throughput_ops, containers_.at(id).goal_abs_throughput});
   }
   return out;
+}
+
+const std::vector<MachineScheduler::TenantSnapshot>& TenantSnapshotCache::Get(
+    size_t slot, const MachineScheduler& scheduler, const MultiTenantModel& multi) {
+  NP_CHECK(slot < slots_.size());
+  Slot& entry = slots_[slot];
+  if (!entry.filled || entry.generation != scheduler.TenantGeneration()) {
+    entry.snapshot = scheduler.SnapshotPerformance(multi);
+    entry.generation = scheduler.TenantGeneration();
+    entry.filled = true;
+  }
+  return entry.snapshot;
 }
 
 TenancyReport ReplayWithEvaluation(MachineScheduler& scheduler,
@@ -586,6 +598,7 @@ TenancyReport ReplayWithEvaluation(MachineScheduler& scheduler,
                                    EventObserver* observer) {
   TenancyReport report;
   AdmissionCounter counter(observer);
+  TenantSnapshotCache snapshots(1);
   double last_time = 0.0;
   double attainment_weight = 0.0;
   double at_goal_weight = 0.0;
@@ -595,7 +608,7 @@ TenancyReport ReplayWithEvaluation(MachineScheduler& scheduler,
     const double dt = event.time_seconds - last_time;
     if (dt > 0.0) {
       for (const MachineScheduler::TenantSnapshot& snap :
-           scheduler.SnapshotPerformance(multi)) {
+           snapshots.Get(0, scheduler, multi)) {
         const double ratio =
             snap.goal_abs_throughput > 0.0
                 ? std::min(1.0, snap.measured_abs_throughput / snap.goal_abs_throughput)

@@ -22,8 +22,10 @@
 #ifndef NUMAPLACE_SRC_SCHEDULER_SCHEDULER_H_
 #define NUMAPLACE_SRC_SCHEDULER_SCHEDULER_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -199,8 +201,16 @@ class MachineScheduler {
 
   // nullptr when the id was never submitted (departed containers remain).
   const ManagedContainer* Find(int container_id) const;
+  // Running containers, ascending id (a live set: departed containers are
+  // never walked).
   std::vector<int> RunningIds() const;
   std::vector<int> PendingIds() const;
+
+  // Bumped whenever the running tenant set or a running tenant's placement
+  // changes: a committed admission, the departure of a running container,
+  // an upgrade re-place. SnapshotPerformance is a pure function of that
+  // state, so an unchanged generation means an unchanged snapshot.
+  uint64_t TenantGeneration() const { return tenant_generation_; }
 
   // Time-averaged machine utilization over the replayed span, in [0, 1].
   double TimeAveragedUtilization() const;
@@ -217,6 +227,8 @@ class MachineScheduler {
     int container_id = 0;
     double measured_abs_throughput = 0.0;
     double goal_abs_throughput = 0.0;
+
+    bool operator==(const TenantSnapshot&) const = default;
   };
   std::vector<TenantSnapshot> SnapshotPerformance(const MultiTenantModel& multi) const;
 
@@ -269,10 +281,36 @@ class MachineScheduler {
   // fill it). Per-machine: only this scheduler's decisions touch it.
   mutable std::map<int, ImportantPlacementSet> placements_by_vcpus_;
   std::map<int, ManagedContainer> containers_;
+  std::set<int> running_;     // ids of kRunning containers
   std::vector<int> pending_;  // FIFO by submit time
+  uint64_t tenant_generation_ = 0;
   SchedulerStats stats_;
   FastMigrator fast_migrator_;
   ThrottledMigrator throttled_migrator_;
+};
+
+// Per-machine memo of SnapshotPerformance for one replay, shared by both
+// ReplayWithEvaluation loops: slot i re-evaluates only when its machine's
+// TenantGeneration() moved since the slot was filled, and otherwise returns
+// the stored snapshot, which a fresh call would reproduce exactly. The
+// caller owns it for the length of one replay, so no entry outlives the
+// scheduler and model it was taken from. A slot must always be asked about
+// the same scheduler and model; the returned reference is valid until the
+// slot's next Get.
+class TenantSnapshotCache {
+ public:
+  explicit TenantSnapshotCache(size_t slots) : slots_(slots) {}
+
+  const std::vector<MachineScheduler::TenantSnapshot>& Get(
+      size_t slot, const MachineScheduler& scheduler, const MultiTenantModel& multi);
+
+ private:
+  struct Slot {
+    bool filled = false;
+    uint64_t generation = 0;
+    std::vector<MachineScheduler::TenantSnapshot> snapshot;
+  };
+  std::vector<Slot> slots_;
 };
 
 // Replays a trace while evaluating the co-running tenants with the

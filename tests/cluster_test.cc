@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -930,6 +931,55 @@ TEST(FleetCapacityOps, CleanCapacityFlagSkipsTheRebalancePassEntirely) {
   // A running departure frees capacity, re-arming the flag and the pass.
   fleet.Depart(1, 13.0);
   EXPECT_EQ(fleet.stats().rebalance_passes, mid.rebalance_passes + 1);
+}
+
+TEST(FleetIncrementalState, RunningSetsAndSnapshotCacheMatchARecountAfterEveryStep) {
+  // Churn past saturation plus a fail, a drain and both rejoins: every
+  // path that moves a tenant between machines (dispatch, rebalance moves,
+  // evacuation) runs through the machines' tenant-set mutation points.
+  FleetConfig config;
+  config.dispatch = "best-predicted";
+  FleetScheduler fleet = MakeAmdFleet(6, "model", config);
+  const EventStream trace = ChurnTraceWithMachineEvents(3, 99);
+  std::set<int> ids;
+  for (const FleetEvent& event : trace) {
+    if (const ContainerArrival* arrival = event.arrival()) {
+      ids.insert(arrival->container_id);
+    }
+  }
+
+  TenantSnapshotCache cache(static_cast<size_t>(fleet.NumMachines()));
+  std::vector<uint64_t> generations(static_cast<size_t>(fleet.NumMachines()));
+  int unchanged = 0;
+  for (const FleetEvent& event : trace) {
+    for (int m = 0; m < fleet.NumMachines(); ++m) {
+      cache.Get(static_cast<size_t>(m), fleet.machine(m), fleet.multi_model(m));
+      generations[static_cast<size_t>(m)] = fleet.machine(m).TenantGeneration();
+    }
+    fleet.Step(event);
+    for (int m = 0; m < fleet.NumMachines(); ++m) {
+      const MachineScheduler& machine = fleet.machine(m);
+      std::vector<int> recount;
+      for (int id : ids) {
+        const ManagedContainer* container = machine.Find(id);
+        if (container != nullptr && container->state == ContainerState::kRunning) {
+          recount.push_back(id);
+        }
+      }
+      ASSERT_EQ(machine.RunningIds(), recount)
+          << "machine " << m << " after " << ToString(event.kind()) << " at t="
+          << event.time_seconds;
+      unchanged += machine.TenantGeneration() == generations[static_cast<size_t>(m)] ? 1 : 0;
+      ASSERT_EQ(cache.Get(static_cast<size_t>(m), machine, fleet.multi_model(m)),
+                machine.SnapshotPerformance(fleet.multi_model(m)))
+          << "machine " << m << " after " << ToString(event.kind()) << " at t="
+          << event.time_seconds;
+    }
+  }
+  EXPECT_GT(fleet.stats().rebalance_moves, 0);
+  EXPECT_GT(fleet.stats().drain_moves + fleet.stats().failover_moves, 0);
+  EXPECT_EQ(fleet.stats().evacuations, 2);
+  EXPECT_GT(unchanged, 0);
 }
 
 TEST(FleetDomains, DomainScopedEventsReplayByteIdenticallyToTheHandList) {

@@ -2,9 +2,13 @@
 // forest, k-means + silhouette, SFS and k-fold helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "src/ml/dataset.h"
 #include "src/ml/forest.h"
@@ -187,6 +191,115 @@ TEST(RandomForest, OutOfBagErrorReasonable) {
   const double oob = forest.OutOfBagMae(train);
   EXPECT_GT(oob, 0.0);
   EXPECT_LT(oob, 1.0);
+}
+
+// Five-way ties in one feature, runs of six in another, and ten rows that
+// exactly duplicate earlier ones: the inputs where a split search could
+// depend on sort stability or tie order.
+Dataset MakeTiedWithDuplicates() {
+  Dataset data;
+  Rng rng(3);
+  for (int i = 0; i < 30; ++i) {
+    const double a = static_cast<double>(i % 5);
+    const double b = 0.5 * static_cast<double>(i / 6);
+    const double c = rng.NextDouble();
+    data.features.push_back({a, b, c});
+    data.targets.push_back({a + 2.0 * b, a * b - c});
+  }
+  for (size_t i = 0; i < 10; ++i) {
+    data.features.push_back(data.features[i]);
+    data.targets.push_back(data.targets[i]);
+  }
+  return data;
+}
+
+uint64_t Fnv1a(const std::string& text) {
+  uint64_t hash = 1469598103934665603ULL;
+  for (const unsigned char c : text) {
+    hash ^= c;
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+TEST(RandomForest, FittedForestTextIsPinned) {
+  // Trees are fitted concurrently; the serialized forest must not depend on
+  // the thread count or schedule. Pinned to the value of the serial fit.
+  ForestParams params;
+  params.num_trees = 16;
+  params.seed = 99;
+  RandomForest forest;
+  forest.Fit(MakeTiedWithDuplicates(), params);
+  std::ostringstream text;
+  forest.SerializeTo(text);
+  EXPECT_EQ(Fnv1a(text.str()), 0xced3d7c497be79b9ULL);
+}
+
+TEST(RandomForest, TreeFailureIsRethrownOnTheCaller) {
+  ForestParams params;
+  params.num_trees = 8;
+  params.tree.max_depth = 0;  // every tree's Fit fails its NP_CHECK
+  RandomForest forest;
+  EXPECT_THROW(forest.Fit(MakeLinear(20, 4), params), std::logic_error);
+  EXPECT_FALSE(forest.IsFitted());
+}
+
+TEST(RandomForest, OutOfBagMaeMatchesBruteForceReference) {
+  const Dataset train = MakeTiedWithDuplicates();
+  ForestParams params;
+  params.num_trees = 12;
+  params.seed = 17;
+  params.tree.features_per_split = 2;  // explicit, so Fit derives nothing
+  RandomForest forest;
+  forest.Fit(train, params);
+
+  // Tree t draws its n bootstrap rows from Rng(seed).Fork(t), then fits on
+  // the same stream; rebuild every tree that way.
+  const size_t n = train.NumSamples();
+  const Rng rng(params.seed);
+  std::vector<std::vector<size_t>> bootstrap(static_cast<size_t>(params.num_trees));
+  std::vector<RegressionTree> trees(bootstrap.size());
+  for (size_t t = 0; t < trees.size(); ++t) {
+    Rng tree_rng = rng.Fork(t);
+    for (size_t i = 0; i < n; ++i) {
+      bootstrap[t].push_back(static_cast<size_t>(tree_rng.NextBelow(n)));
+    }
+    trees[t].Fit(train, bootstrap[t], params.tree, tree_rng);
+  }
+  // Out-of-bag error straight from its definition: for each row, average
+  // the trees whose bootstrap sample does not contain it.
+  const auto reference = [&](const Dataset& data) {
+    double total = 0.0;
+    size_t terms = 0;
+    for (size_t i = 0; i < data.NumSamples(); ++i) {
+      std::vector<double> acc(data.NumTargets(), 0.0);
+      int voters = 0;
+      for (size_t t = 0; t < trees.size(); ++t) {
+        if (std::find(bootstrap[t].begin(), bootstrap[t].end(), i) != bootstrap[t].end()) {
+          continue;
+        }
+        const std::vector<double> p = trees[t].Predict(data.features[i]);
+        for (size_t k = 0; k < acc.size(); ++k) {
+          acc[k] += p[k];
+        }
+        ++voters;
+      }
+      if (voters == 0) {
+        continue;
+      }
+      for (size_t k = 0; k < acc.size(); ++k) {
+        total += std::abs(acc[k] / voters - data.targets[i][k]);
+        ++terms;
+      }
+    }
+    return total / static_cast<double>(terms);
+  };
+  EXPECT_EQ(forest.OutOfBagMae(train), reference(train));
+  // Rows past the training set were in no bootstrap sample.
+  Dataset extended = train;
+  extended.features.push_back({1.5, 0.25, 0.5});
+  extended.targets.push_back({2.0, -1.0});
+  EXPECT_EQ(forest.OutOfBagMae(extended), reference(extended));
 }
 
 TEST(RandomForest, IrrelevantFeaturesTolerated) {

@@ -1,7 +1,8 @@
 // Tests for the multi-tenant MachineScheduler: concurrent containers with
 // disjoint hardware-thread sets, probe caching across re-placements, the
-// arrival -> probe -> place -> depart -> re-place lifecycle, and the split-L3
-// (Zen) topology.
+// arrival -> probe -> place -> depart -> re-place lifecycle, the incremental
+// running set and tenant generation behind the replay's snapshot cache, and
+// the split-L3 (Zen) topology.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -226,6 +227,87 @@ TEST_F(SchedulerTest, RejectsLiveDuplicateIdsAndUnknownDepartures) {
   EXPECT_TRUE(scheduler.Submit(MakeRequest(1, "wc", 0.9), 5.0).admitted);
 }
 
+// The running ids a from-scratch recount of Find() states over `ids`
+// (ascending) yields — what the scheduler's live running set must hold.
+std::vector<int> RecountRunning(const MachineScheduler& scheduler,
+                                const std::set<int>& ids) {
+  std::vector<int> running;
+  for (int id : ids) {
+    const ManagedContainer* container = scheduler.Find(id);
+    if (container != nullptr && container->state == ContainerState::kRunning) {
+      running.push_back(id);
+    }
+  }
+  return running;
+}
+
+TEST_F(SchedulerTest, IncrementalTenantStateMatchesARecountAfterEveryStep) {
+  // A seeded churn trace past saturation with unreachable goals: arrivals
+  // that land or queue, queue admissions, upgrades and departures of both
+  // running and queued containers.
+  MachineScheduler scheduler = MakeScheduler();
+  const MultiTenantModel multi(topo_, 0.01, 3);
+  TraceConfig config;
+  config.num_containers = 60;
+  config.mean_interarrival_seconds = 60.0;
+  config.mean_lifetime_seconds = 300.0;
+  config.vcpus = 16;
+  config.goal_fraction = 1.1;
+  Rng rng(5);
+  const EventStream trace = GeneratePoissonTrace(config, rng);
+  std::set<int> ids;
+  for (const FleetEvent& event : trace) {
+    if (const ContainerArrival* arrival = event.arrival()) {
+      ids.insert(arrival->container_id);
+    }
+  }
+
+  TenantSnapshotCache cache(1);
+  int unchanged = 0;
+  for (const FleetEvent& event : trace) {
+    cache.Get(0, scheduler, multi);  // filled between events, as a replay does
+    const uint64_t generation = scheduler.TenantGeneration();
+    scheduler.Step(event);
+    ASSERT_EQ(scheduler.RunningIds(), RecountRunning(scheduler, ids))
+        << ToString(event.kind()) << " at t=" << event.time_seconds;
+    // An unchanged generation is a cache hit, which must serve exactly what
+    // a fresh evaluation computes.
+    unchanged += scheduler.TenantGeneration() == generation ? 1 : 0;
+    ASSERT_EQ(cache.Get(0, scheduler, multi), scheduler.SnapshotPerformance(multi))
+        << ToString(event.kind()) << " at t=" << event.time_seconds;
+  }
+  EXPECT_GT(scheduler.stats().queued, 0);
+  EXPECT_GT(scheduler.stats().admitted_from_queue, 0);
+  EXPECT_GT(scheduler.stats().upgrades, 0);
+  EXPECT_GT(unchanged, 0);
+}
+
+TEST_F(SchedulerTest, AnUpgradeAloneMovesTheTenantGeneration) {
+  // Inside a Step an upgrade rides along with the departure that freed its
+  // threads, whose own bump already moves the generation. This drives the
+  // one window where a re-place is the only change: capacity freed without
+  // a re-placement pass, then a queued container's departure runs one.
+  MachineScheduler scheduler = MakeScheduler();
+  const MultiTenantModel multi(topo_, 0.01, 3);
+  for (int id = 1; id <= 3; ++id) {
+    ASSERT_TRUE(scheduler.Submit(MakeRequest(id, "gcc", 0.5), 0.0).admitted);
+  }
+  const ScheduleOutcome crowded =
+      scheduler.Submit(MakeRequest(9, "streamcluster", 1.1), 1.0);
+  ASSERT_TRUE(crowded.admitted);
+  ASSERT_FALSE(crowded.meets_goal);
+  ASSERT_FALSE(scheduler.Submit(MakeRequest(10, "gcc", 0.5), 1.5).admitted);
+  scheduler.Depart(1, 2.0, /*forget_probes=*/true, /*replace=*/false);
+
+  TenantSnapshotCache cache(1);
+  cache.Get(0, scheduler, multi);
+  const uint64_t generation = scheduler.TenantGeneration();
+  scheduler.Depart(10, 3.0);  // queued: frees nothing, but its pass upgrades 9
+  ASSERT_EQ(scheduler.stats().upgrades, 1);
+  EXPECT_NE(scheduler.TenantGeneration(), generation);
+  EXPECT_EQ(cache.Get(0, scheduler, multi), scheduler.SnapshotPerformance(multi));
+}
+
 TEST(SchedulerZen, SplitL3LifecyclePreservesClassStructure) {
   const Topology zen = AmdZenLike();
   const ImportantPlacementSet ips = GenerateImportantPlacements(zen, 16, false);
@@ -313,6 +395,34 @@ TEST(OccupancyMap, AcquireReleaseAndFreeCapacityQueries) {
   EXPECT_EQ(occ.Release(7), amd.NodeCapacity());
   EXPECT_EQ(occ.FreeThreadCount(), amd.NumHwThreads());
   EXPECT_EQ(occ.Release(7), 0);
+}
+
+TEST(OccupancyMap, RealizeAnywhereFreeShortCutKeepsTheBalanceCheckReachable) {
+  const Topology amd = AmdOpteron6272();
+  const ImportantPlacementSet ips = GenerateImportantPlacements(amd, 16, true);
+  const ImportantPlacement* two_node = nullptr;
+  for (const ImportantPlacement& ip : ips.placements) {
+    if (ip.NodeCount() == 2) {
+      two_node = &ip;
+      break;
+    }
+  }
+  ASSERT_NE(two_node, nullptr);
+  // Seven free threads on each of nodes 0 and 1, none elsewhere.
+  OccupancyMap occ(amd);
+  Placement busy;
+  for (int node = 0; node < amd.num_nodes(); ++node) {
+    const std::vector<int> threads = amd.HwThreadsOnNode(node);
+    busy.hw_threads.insert(busy.hw_threads.end(), threads.begin() + (node < 2 ? 7 : 0),
+                           threads.end());
+  }
+  occ.Acquire(1, busy);
+  ASSERT_EQ(occ.FreeThreadCount(), 14);
+  // A balanced request larger than the free capacity never fits.
+  EXPECT_FALSE(RealizeAnywhereFree(*two_node, amd, 16, occ).has_value());
+  // An unbalanced one passes the per-node pre-filter on {0, 1} and still
+  // fails the balance check, short cut or not.
+  EXPECT_THROW(RealizeAnywhereFree(*two_node, amd, 15, occ), std::logic_error);
 }
 
 TEST(Trace, PoissonTraceIsWellFormed) {
