@@ -1,90 +1,14 @@
 #include "src/ml/forest.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <exception>
-#include <limits>
 #include <string>
-#include <thread>
-
-#ifdef __linux__
-#include <sched.h>
-#endif
 
 #include "src/util/check.h"
+#include "src/util/parallel_for.h"
 #include "src/util/rng.h"
 
 namespace numaplace {
-
-namespace {
-
-// CPUs this process may run on: its affinity mask where the platform has
-// one, else the hardware concurrency; at least 1.
-size_t AvailableCpus() {
-#ifdef __linux__
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
-    return static_cast<size_t>(std::max(1, CPU_COUNT(&set)));
-  }
-#endif
-  return std::max<size_t>(1, std::thread::hardware_concurrency());
-}
-
-// Runs body(i) for every i in [0, count) on up to one thread per available
-// CPU, the calling thread included. Indices are claimed in ascending order,
-// and a failure stops further claims; after every thread has joined, the
-// exception of the lowest failed index is rethrown on the caller — the one
-// a serial loop would have thrown, since every lower index was claimed
-// before it and ran to completion.
-template <typename Body>
-void ForEachIndexInParallel(size_t count, const Body& body) {
-  const size_t workers = std::min(count, AvailableCpus());
-  std::atomic<size_t> next{0};
-  std::atomic<bool> failed{false};
-  struct Failure {
-    size_t index = std::numeric_limits<size_t>::max();
-    std::exception_ptr error;
-  };
-  std::vector<Failure> failures(workers);
-  const auto work = [&](size_t worker) {
-    while (!failed.load()) {
-      const size_t i = next.fetch_add(1);
-      if (i >= count) {
-        return;
-      }
-      try {
-        body(i);
-      } catch (...) {
-        failures[worker] = {i, std::current_exception()};
-        failed.store(true);
-        return;
-      }
-    }
-  };
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (size_t w = 1; w < workers; ++w) {
-    try {
-      threads.emplace_back(work, w);
-    } catch (...) {
-      break;  // no thread to spare: the threads already running claim the rest
-    }
-  }
-  work(0);
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-  const auto first = std::min_element(
-      failures.begin(), failures.end(),
-      [](const Failure& a, const Failure& b) { return a.index < b.index; });
-  if (first != failures.end() && first->error != nullptr) {
-    std::rethrow_exception(first->error);
-  }
-}
-
-}  // namespace
 
 void RandomForest::Fit(const Dataset& data, const ForestParams& params) {
   data.Validate();
@@ -107,7 +31,7 @@ void RandomForest::Fit(const Dataset& data, const ForestParams& params) {
   std::vector<std::vector<bool>> in_bag(trees.size(), std::vector<bool>(n, false));
   // Tree t draws only from rng.Fork(t) and writes only slot t, so the
   // forest is the same whichever thread fits which tree, in whatever order.
-  ForEachIndexInParallel(trees.size(), [&](size_t t) {
+  ParallelFor(trees.size(), [&](size_t t) {
     Rng tree_rng = rng.Fork(t);
     std::vector<size_t> rows(n);
     for (size_t i = 0; i < n; ++i) {

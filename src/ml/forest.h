@@ -28,12 +28,13 @@ struct ForestParams {
 
 class RandomForest {
  public:
-  // Fits the trees concurrently, one thread per CPU in the process's
-  // affinity mask (at most one per tree, the calling thread included). Tree
-  // t draws only from the Fork(t) stream of the seed's generator, so the
-  // fitted forest is identical under any thread count or schedule. A tree's
-  // exception is rethrown here after every thread has joined; the forest is
-  // then left unfitted.
+  // Fits the trees concurrently through ParallelFor (src/util/parallel_for.h):
+  // one thread per CPU in the affinity mask, at most one per tree, the
+  // calling thread included; called from inside another ParallelFor body, it
+  // fits them serially on that worker. Tree t draws only from the Fork(t)
+  // stream of the seed's generator, so the fitted forest is identical under
+  // any thread count or schedule. A tree's exception is rethrown here after
+  // every thread has joined; the forest is then left unfitted.
   void Fit(const Dataset& data, const ForestParams& params);
 
   std::vector<double> Predict(std::span<const double> features) const;

@@ -3,11 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <mutex>
+#include <optional>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "src/ml/selection.h"
 #include "src/util/check.h"
+#include "src/util/parallel_for.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 
@@ -38,13 +42,19 @@ void CheckUniqueWorkloadNames(const std::vector<WorkloadProfile>& workloads) {
   }
 }
 
+// A performance model's input row: the two probe measurements normalized
+// by `ipc_scale`, and their ratio. Training rows, the search's held-out
+// predictions and deployed predictions all build it here, so they agree to
+// the bit.
+std::vector<double> PerfFeatures(double perf_in_a, double perf_in_b, double ipc_scale) {
+  return {perf_in_a * ipc_scale, perf_in_b * ipc_scale, perf_in_b / perf_in_a};
+}
+
 }  // namespace
 
 std::vector<double> TrainedPerfModel::Predict(double perf_in_a, double perf_in_b) const {
   NP_CHECK_MSG(perf_in_a > 0.0, "non-positive probe measurement");
-  const std::vector<double> features = {perf_in_a * ipc_scale, perf_in_b * ipc_scale,
-                                        perf_in_b / perf_in_a};
-  return forest.Predict(features);
+  return forest.Predict(PerfFeatures(perf_in_a, perf_in_b, ipc_scale));
 }
 
 namespace {
@@ -140,7 +150,7 @@ Dataset ModelPipeline::BuildPerfDataset(const std::vector<WorkloadProfile>& work
       const double pa = MeasureAbsolute(w, input_a, run_id);
       const double pb = MeasureAbsolute(w, input_b, run_id);
       NP_CHECK(pa > 0.0);
-      data.features.push_back({pa * scale, pb * scale, pb / pa});
+      data.features.push_back(PerfFeatures(pa, pb, scale));
       data.targets.push_back(MeasureVector(w, run_id).relative);
     }
   }
@@ -171,38 +181,156 @@ TrainedPerfModel ModelPipeline::TrainPerf(const std::vector<WorkloadProfile>& wo
   return model;
 }
 
-double ModelPipeline::CrossValidatedMae(const std::vector<WorkloadProfile>& workloads,
-                                        int input_a, int input_b,
-                                        const PerfModelConfig& config) const {
+namespace {
+
+// Run index of the probe measurements that score a fold's held-out
+// workloads: noise no training row has seen.
+constexpr uint64_t kProbeRun = 1000;
+
+// Everything the probe-pair search reads, measured once on the calling
+// thread before any pair is scored. Slot s < runs_per_workload is training
+// run s; the last slot is the probe run.
+struct PairSearchInputs {
+  size_t workloads = 0;
+  size_t placements = 0;
+  size_t slots = 0;
+  size_t training_runs = 0;
+  double ipc_scale = 1.0;
+  std::vector<double> absolute;               // [(w * slots + s) * placements + p]
+  std::vector<std::vector<double>> relative;  // [w * slots + s], as MeasureVector
+  std::vector<std::vector<size_t>> fold_sets;
+  int scored = 0;  // held-out workloads over the folds that are scored
+
+  double At(size_t w, size_t s, size_t p) const {
+    return absolute[(w * slots + s) * placements + p];
+  }
+  size_t ProbeSlot() const { return slots - 1; }
+};
+
+PairSearchInputs MeasurePairSearchInputs(const ModelPipeline& pipeline,
+                                         const std::vector<WorkloadProfile>& workloads,
+                                         const PerfModelConfig& config, double ipc_scale,
+                                         uint64_t seed) {
+  CheckUniqueWorkloadNames(workloads);
+  NP_CHECK(config.runs_per_workload >= 0);
+  const ImportantPlacementSet& ips = pipeline.important();
+  PairSearchInputs in;
+  in.workloads = workloads.size();
+  in.placements = ips.placements.size();
+  in.training_runs = static_cast<size_t>(config.runs_per_workload);
+  in.slots = in.training_runs + 1;
+  in.ipc_scale = ipc_scale;
+  const size_t baseline = IndexOf(ips, pipeline.baseline_id());
+  in.absolute.reserve(in.workloads * in.slots * in.placements);
+  in.relative.reserve(in.workloads * in.slots);
+  for (const WorkloadProfile& w : workloads) {
+    for (size_t s = 0; s < in.slots; ++s) {
+      const uint64_t run = s < in.training_runs ? s : kProbeRun;
+      const size_t row = in.absolute.size();
+      for (const ImportantPlacement& ip : ips.placements) {
+        const double value = pipeline.MeasureAbsolute(w, ip.id, run);
+        NP_CHECK_MSG(value > 0.0, "non-positive measurement of '"
+                                      << w.name << "' in placement #" << ip.id
+                                      << " (run " << run << ")");
+        in.absolute.push_back(value);
+      }
+      std::vector<double> relative(in.placements);
+      for (size_t p = 0; p < in.placements; ++p) {
+        relative[p] = in.absolute[row + p] / in.absolute[row + baseline];
+      }
+      in.relative.push_back(std::move(relative));
+    }
+  }
+
   // Fold over *workloads*, not rows, so repeated runs of one workload never
   // straddle the train/test divide (that would leak the answer).
-  Rng rng(SplitMix64(seed_ ^ 0xf01d5));
-  const std::vector<std::vector<size_t>> fold_sets =
-      KFoldIndices(workloads.size(), static_cast<size_t>(config.cv_folds), rng);
+  Rng rng(SplitMix64(seed ^ 0xf01d5));
+  in.fold_sets = KFoldIndices(workloads.size(), static_cast<size_t>(config.cv_folds), rng);
+  for (const std::vector<size_t>& test_rows : in.fold_sets) {
+    if (!test_rows.empty() && test_rows.size() < workloads.size()) {
+      in.scored += static_cast<int>(test_rows.size());
+    }
+  }
+  NP_CHECK(in.scored > 0);
+  return in;
+}
+
+// The best pair scored to completion so far, shared by the pair tasks of
+// one search: the least (error, pair index), which is the pair the serial
+// first-strict-minimum loop keeps.
+class BestPair {
+ public:
+  static constexpr size_t kNone = std::numeric_limits<size_t>::max();
+
+  void Offer(double error, size_t pair) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (error < error_ || (error == error_ && pair_ != kNone && pair < pair_)) {
+      error_ = error;
+      pair_ = pair;
+    }
+  }
+
+  // True when a pair whose final error is at least `lower` cannot win: it
+  // would lose to the best on error, or tie it and come later.
+  bool Excludes(double lower, size_t pair) const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return lower > error_ || (lower == error_ && pair_ != kNone && pair > pair_);
+  }
+
+  size_t pair() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return pair_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  double error_ = std::numeric_limits<double>::infinity();
+  size_t pair_ = kNone;
+};
+
+// k-fold cross-validated error of the probe pair at placement indices
+// (a, b): per held-out workload, a blend of the mean and worst absolute
+// error of the predicted vector, averaged over `scored`. With a `best`,
+// scoring stops after a fold whose partial sum already rules the pair out
+// (returns nullopt). That bound is exact: every per-workload term is
+// non-negative, `scored` is the same for every pair, and rounded addition
+// and division are monotone, so partial_sum / scored never exceeds the
+// final error.
+std::optional<double> ScorePair(const PairSearchInputs& in, size_t a, size_t b,
+                                const PerfModelConfig& config, uint64_t seed,
+                                const BestPair* best, size_t pair) {
+  ForestParams params = config.forest;
+  params.num_trees = config.cv_trees;
+  params.seed = seed;
+  const auto features = [&](size_t w, size_t s) {
+    return PerfFeatures(in.At(w, s, a), in.At(w, s, b), in.ipc_scale);
+  };
+  const double scored = static_cast<double>(in.scored);
   double total_mae = 0.0;
-  int scored = 0;
-  for (const std::vector<size_t>& test_rows : fold_sets) {
-    std::vector<WorkloadProfile> train;
-    std::vector<WorkloadProfile> test;
-    std::vector<bool> in_test(workloads.size(), false);
-    for (size_t i : test_rows) {
-      in_test[i] = true;
-    }
-    for (size_t i = 0; i < workloads.size(); ++i) {
-      (in_test[i] ? test : train).push_back(workloads[i]);
-    }
-    if (train.empty() || test.empty()) {
+  std::vector<bool> in_test(in.workloads);
+  for (const std::vector<size_t>& test_rows : in.fold_sets) {
+    if (test_rows.empty() || test_rows.size() == in.workloads) {
       continue;
     }
-    PerfModelConfig cv_config = config;
-    cv_config.forest.num_trees = config.cv_trees;
-    const TrainedPerfModel model = TrainPerf(train, input_a, input_b, cv_config);
-    for (const WorkloadProfile& w : test) {
-      const uint64_t probe_run = 1000;  // unseen measurement noise
-      const double pa = MeasureAbsolute(w, input_a, probe_run);
-      const double pb = MeasureAbsolute(w, input_b, probe_run);
-      const std::vector<double> predicted = model.Predict(pa, pb);
-      const std::vector<double> actual = MeasureVector(w, probe_run).relative;
+    std::fill(in_test.begin(), in_test.end(), false);
+    for (size_t w : test_rows) {
+      in_test[w] = true;
+    }
+    Dataset train;
+    for (size_t w = 0; w < in.workloads; ++w) {
+      for (size_t s = 0; !in_test[w] && s < in.training_runs; ++s) {
+        train.features.push_back(features(w, s));
+        train.targets.push_back(in.relative[w * in.slots + s]);
+      }
+    }
+    RandomForest forest;
+    forest.Fit(train, params);
+    for (size_t w = 0; w < in.workloads; ++w) {
+      if (!in_test[w]) {
+        continue;
+      }
+      const std::vector<double> predicted = forest.Predict(features(w, in.ProbeSlot()));
+      const std::vector<double>& actual = in.relative[w * in.slots + in.ProbeSlot()];
       // Score with a blend of mean and worst-entry error: the scheduler acts
       // on individual entries of the vector (it commits a container to the
       // placement it picks), so an input pair that nails the average but
@@ -216,32 +344,56 @@ double ModelPipeline::CrossValidatedMae(const std::vector<WorkloadProfile>& work
       }
       mean_err /= static_cast<double>(actual.size());
       total_mae += 0.5 * mean_err + 0.5 * max_err;
-      ++scored;
+    }
+    if (best != nullptr && best->Excludes(total_mae / scored, pair)) {
+      return std::nullopt;
     }
   }
-  NP_CHECK(scored > 0);
   return total_mae / scored;
+}
+
+}  // namespace
+
+double ModelPipeline::CrossValidatedMae(const std::vector<WorkloadProfile>& workloads,
+                                        int input_a, int input_b,
+                                        const PerfModelConfig& config) const {
+  NP_CHECK(input_a != input_b);
+  const size_t a = IndexOf(*ips_, input_a);
+  const size_t b = IndexOf(*ips_, input_b);
+  const PairSearchInputs inputs =
+      MeasurePairSearchInputs(*this, workloads, config, IpcScale(), seed_);
+  return *ScorePair(inputs, a, b, config, seed_, /*best=*/nullptr, 0);
 }
 
 TrainedPerfModel ModelPipeline::TrainPerfAuto(const std::vector<WorkloadProfile>& workloads,
                                               const PerfModelConfig& config) const {
-  double best_error = std::numeric_limits<double>::infinity();
-  int best_a = 0;
-  int best_b = 0;
-  for (size_t i = 0; i < ips_->placements.size(); ++i) {
-    for (size_t j = i + 1; j < ips_->placements.size(); ++j) {
-      const int a = ips_->placements[i].id;
-      const int b = ips_->placements[j].id;
-      const double error = CrossValidatedMae(workloads, a, b, config);
-      if (error < best_error) {
-        best_error = error;
-        best_a = a;
-        best_b = b;
-      }
+  const size_t count = ips_->placements.size();
+  NP_CHECK_MSG(count >= 2, "the probe-pair search needs at least two important "
+                           "placements, but the set for "
+                               << ips_->vcpus << " vCPUs has " << count);
+  const PairSearchInputs inputs =
+      MeasurePairSearchInputs(*this, workloads, config, IpcScale(), seed_);
+  std::vector<std::pair<size_t, size_t>> pairs;
+  for (size_t i = 0; i < count; ++i) {
+    for (size_t j = i + 1; j < count; ++j) {
+      pairs.emplace_back(i, j);
     }
   }
-  NP_CHECK(best_a != best_b);
-  return TrainPerf(workloads, best_a, best_b, config);
+  // One task per pair; the forest fits inside run serially on their worker.
+  // The winner is the least (error, pair index) over completed pairs, and no
+  // pruned pair could have beaten it, so any schedule picks the same pair.
+  BestPair best;
+  ParallelFor(pairs.size(), [&](size_t k) {
+    const std::optional<double> error =
+        ScorePair(inputs, pairs[k].first, pairs[k].second, config, seed_, &best, k);
+    if (error.has_value()) {
+      best.Offer(*error, k);
+    }
+  });
+  NP_CHECK_MSG(best.pair() != BestPair::kNone,
+               "no input pair has a finite cross-validated error");
+  const auto [a, b] = pairs[best.pair()];
+  return TrainPerf(workloads, ips_->placements[a].id, ips_->placements[b].id, config);
 }
 
 namespace {

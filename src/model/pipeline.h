@@ -118,7 +118,12 @@ class ModelPipeline {
 
   // The paper's automatic variant: tries every unordered pair of important
   // placements containing the baseline or not, scores each by k-fold
-  // cross-validated MAE, and trains the final model on the best pair.
+  // cross-validated MAE, and trains the final model on the best pair. Every
+  // measurement is taken up front on the calling thread; the pairs are then
+  // scored in parallel, and a pair stops after any fold whose partial error
+  // already rules it out. The chosen pair is the first strict minimum of
+  // CrossValidatedMae in (i, j) order under any thread count or schedule.
+  // Throws std::logic_error when the set has fewer than two placements.
   TrainedPerfModel TrainPerfAuto(const std::vector<WorkloadProfile>& workloads,
                                  const PerfModelConfig& config) const;
 
@@ -141,8 +146,9 @@ class ModelPipeline {
   std::vector<double> SampleHpe(const HpeSampler& sampler, const WorkloadProfile& profile,
                                 int placement_id) const;
 
-  // k-fold cross-validated MAE of a candidate input pair (used by
-  // TrainPerfAuto; exposed for the ablation benchmark).
+  // k-fold cross-validated MAE of a candidate input pair: the score
+  // TrainPerfAuto computes for each pair, without its early stop (exposed
+  // for the ablation benchmark).
   double CrossValidatedMae(const std::vector<WorkloadProfile>& workloads, int input_a,
                            int input_b, const PerfModelConfig& config) const;
 
@@ -154,10 +160,12 @@ class ModelPipeline {
   // (the "IPC" the paper uses as its canonical cross-workload metric).
   double IpcScale() const;
 
-  // Training sweeps re-measure the same (workload, placement, run) triples
-  // thousands of times; measurements are deterministic per triple, so they
-  // are memoized. Keyed by workload *name*: dataset building CHECK-fails on
-  // duplicate names, which would otherwise alias cache entries.
+  // Dataset building re-measures the same (workload, placement, run)
+  // triples; measurements are deterministic per triple, so they are
+  // memoized. Keyed by workload *name*: dataset building CHECK-fails on
+  // duplicate names, which would otherwise alias cache entries. Not
+  // thread-safe: the pair search reads it only on the calling thread,
+  // before its workers start.
   mutable std::map<std::tuple<std::string, int, uint64_t>, double> measurement_cache_;
 
   const ImportantPlacementSet* ips_;

@@ -3,18 +3,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "src/ml/dataset.h"
 #include "src/ml/forest.h"
 #include "src/ml/kmeans.h"
 #include "src/ml/selection.h"
 #include "src/ml/tree.h"
+#include "src/util/parallel_for.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 
@@ -242,6 +247,56 @@ TEST(RandomForest, TreeFailureIsRethrownOnTheCaller) {
   RandomForest forest;
   EXPECT_THROW(forest.Fit(MakeLinear(20, 4), params), std::logic_error);
   EXPECT_FALSE(forest.IsFitted());
+}
+
+TEST(ParallelFor, NestedLoopRunsInlineOnItsWorkerInIndexOrder) {
+  constexpr size_t kOuter = 8;
+  constexpr size_t kInner = 16;
+  std::vector<std::thread::id> outer_thread(kOuter);
+  std::vector<std::vector<std::thread::id>> inner_thread(kOuter);
+  std::vector<std::vector<size_t>> inner_order(kOuter);
+  ParallelFor(kOuter, [&](size_t i) {
+    outer_thread[i] = std::this_thread::get_id();
+    ParallelFor(kInner, [&](size_t j) {
+      inner_thread[i].push_back(std::this_thread::get_id());
+      inner_order[i].push_back(j);
+    });
+  });
+  std::vector<size_t> expected(kInner);
+  std::iota(expected.begin(), expected.end(), 0);
+  for (size_t i = 0; i < kOuter; ++i) {
+    EXPECT_EQ(inner_order[i], expected) << "outer index " << i;
+    EXPECT_EQ(inner_thread[i], std::vector<std::thread::id>(kInner, outer_thread[i]))
+        << "outer index " << i;
+  }
+}
+
+TEST(ParallelFor, LowestFailingIndexReachesTheCallerAfterEveryBodyEnds) {
+  // Outer bodies 3 and 5 fail, each from inside a nested loop (which fails
+  // at its own index 2 first, so index 4's error never happens). Every body
+  // that started has ended by the time the caller sees index 3's error.
+  std::atomic<int> started{0};
+  std::atomic<int> ended{0};
+  std::string message;
+  try {
+    ParallelFor(32, [&](size_t i) {
+      ++started;
+      struct EndGuard {
+        std::atomic<int>* ended;
+        ~EndGuard() { ++*ended; }
+      } guard{&ended};
+      ParallelFor(6, [&](size_t j) {
+        if ((i == 3 || i == 5) && (j == 2 || j == 4)) {
+          throw std::runtime_error(std::to_string(i) + ":" + std::to_string(j));
+        }
+      });
+    });
+  } catch (const std::runtime_error& e) {
+    message = e.what();
+  }
+  EXPECT_EQ(message, "3:2");
+  EXPECT_GE(started.load(), 4);
+  EXPECT_EQ(started.load(), ended.load());
 }
 
 TEST(RandomForest, OutOfBagMaeMatchesBruteForceReference) {

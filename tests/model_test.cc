@@ -3,9 +3,19 @@
 // leave-one-workload-out harness.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <memory>
+#include <sched.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "src/core/concern.h"
 #include "src/core/important.h"
 #include "src/model/pipeline.h"
 #include "src/sim/hpe.h"
@@ -130,6 +140,151 @@ TEST_F(ModelPipelineTest, CrossValidationDiscriminatesInputPairs) {
   EXPECT_GT(e18, 0.0);
   EXPECT_GT(e23, 0.0);
   EXPECT_NE(e18, e23);
+}
+
+uint64_t Fnv1a(const std::string& text) {
+  uint64_t hash = 1469598103934665603ULL;
+  for (const unsigned char c : text) {
+    hash ^= c;
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+std::string ModelText(const TrainedPerfModel& model) {
+  std::ostringstream text;
+  model.SaveText(text);
+  return text.str();
+}
+
+TEST_F(ModelPipelineTest, CrossValidatedMaeOverEveryPairIsPinned) {
+  // Pinned to the value of the serial, unpruned implementation: the search
+  // shares this scorer, so any drift in it would move the chosen pair.
+  const auto train = TrainingSet(24);
+  std::string text;
+  for (size_t i = 0; i < ips_.placements.size(); ++i) {
+    for (size_t j = i + 1; j < ips_.placements.size(); ++j) {
+      char line[64];
+      std::snprintf(line, sizeof(line), "%.17g\n",
+                    pipeline_.CrossValidatedMae(train, ips_.placements[i].id,
+                                                ips_.placements[j].id, FastConfig()));
+      text += line;
+    }
+  }
+  EXPECT_EQ(Fnv1a(text), 0x8b71279f756cb52cULL) << text;
+}
+
+TEST_F(ModelPipelineTest, RejectedConfigsStillThrowFromTheSearch) {
+  const auto train = TrainingSet(24);
+  PerfModelConfig no_cv_trees = FastConfig();
+  no_cv_trees.cv_trees = 0;
+  EXPECT_THROW(pipeline_.TrainPerfAuto(train, no_cv_trees), std::logic_error);
+  PerfModelConfig no_depth = FastConfig();
+  no_depth.forest.tree.max_depth = 0;
+  EXPECT_THROW(pipeline_.TrainPerfAuto(train, no_depth), std::logic_error);
+}
+
+TEST_F(ModelPipelineTest, SearchNeedsTwoPlacements) {
+  const ImportantPlacementSet one = GenerateImportantPlacements(topo_, 7, true);
+  ASSERT_EQ(one.placements.size(), 1u);
+  const ModelPipeline pipeline(one, sim_, one.placements[0].id, 7);
+  try {
+    pipeline.TrainPerfAuto(TrainingSet(24), FastConfig());
+    ADD_FAILURE() << "a one-placement search did not throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("has 1"), std::string::npos) << e.what();
+  }
+}
+
+// The pruned, pair-parallel search must pick the pair the plain serial loop
+// picks — the first strict minimum of CrossValidatedMae in (i, j) order —
+// and save the same model as TrainPerf on that pair.
+TEST(PairSearchExactness, MatchesTheSerialFirstStrictMinimum) {
+  // The baseline placement per machine follows the paper (#2 on Intel).
+  const std::vector<std::pair<Topology, int>> machines = {
+      {AmdOpteron6272(), 1}, {IntelXeonE74830v3(), 2}, {AmdZenLike(), 1},
+      {HaswellClusterOnDie(), 1}};
+  for (const auto& [topo, baseline] : machines) {
+    const ImportantPlacementSet ips =
+        GenerateImportantPlacements(topo, 16, InterconnectIsAsymmetric(topo));
+    const PerformanceModel sim(topo, 0.015, 1);
+    for (const uint64_t seed : {1ULL, 7ULL, 42ULL}) {
+      const ModelPipeline pipeline(ips, sim, baseline, seed);
+      Rng rng(seed + 100);
+      const auto workloads = SampleTrainingWorkloads(seed == 7 ? 36 : 24, rng);
+      for (const int folds : {2, 3, 5}) {
+        SCOPED_TRACE(topo.name() + ", seed " + std::to_string(seed) + ", " +
+                     std::to_string(folds) + " folds");
+        PerfModelConfig config;
+        config.runs_per_workload = 2;
+        config.cv_trees = 5;
+        config.cv_folds = folds;
+        config.forest.num_trees = 10;
+        double best_error = std::numeric_limits<double>::infinity();
+        std::pair<int, int> best{0, 0};
+        for (size_t i = 0; i < ips.placements.size(); ++i) {
+          for (size_t j = i + 1; j < ips.placements.size(); ++j) {
+            const int a = ips.placements[i].id;
+            const int b = ips.placements[j].id;
+            const double error = pipeline.CrossValidatedMae(workloads, a, b, config);
+            if (error < best_error) {
+              best_error = error;
+              best = {a, b};
+            }
+          }
+        }
+        const TrainedPerfModel searched = pipeline.TrainPerfAuto(workloads, config);
+        EXPECT_EQ(std::make_pair(searched.input_a, searched.input_b), best);
+        EXPECT_EQ(ModelText(searched),
+                  ModelText(pipeline.TrainPerf(workloads, best.first, best.second, config)));
+      }
+    }
+  }
+}
+
+// Restores the calling thread's CPU affinity mask on scope exit.
+class ScopedAffinity {
+ public:
+  ScopedAffinity() { sched_getaffinity(0, sizeof(saved_), &saved_); }
+  ~ScopedAffinity() { sched_setaffinity(0, sizeof(saved_), &saved_); }
+  ScopedAffinity(const ScopedAffinity&) = delete;
+  ScopedAffinity& operator=(const ScopedAffinity&) = delete;
+
+  const cpu_set_t& saved() const { return saved_; }
+
+ private:
+  cpu_set_t saved_;
+};
+
+TEST_F(ModelPipelineTest, SearchedModelIsTheSameUnderAnyCpuMask) {
+  const auto train = TrainingSet(24);
+  PerfModelConfig config = FastConfig();
+  config.cv_trees = 8;
+  config.forest.num_trees = 16;
+  const ScopedAffinity restore;
+  std::vector<int> cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &restore.saved())) {
+      cpus.push_back(cpu);
+    }
+  }
+  if (cpus.size() < 2) {
+    GTEST_SKIP() << "the affinity mask has one CPU and cannot shrink";
+  }
+  const std::string full = ModelText(pipeline_.TrainPerfAuto(train, config));
+  for (const size_t count : {1u, 2u}) {
+    if (count >= cpus.size()) {
+      continue;  // the full mask already is this size
+    }
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    for (size_t k = 0; k < count; ++k) {
+      CPU_SET(cpus[k], &mask);
+    }
+    ASSERT_EQ(sched_setaffinity(0, sizeof(mask), &mask), 0);
+    EXPECT_EQ(ModelText(pipeline_.TrainPerfAuto(train, config)), full)
+        << count << "-CPU mask";
+  }
 }
 
 TEST_F(ModelPipelineTest, HpeModelTrainsAndSelectsInformativeCounters) {

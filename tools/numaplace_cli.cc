@@ -124,8 +124,40 @@ Topology MakeMachine(const std::string& name) {
   std::exit(2);
 }
 
+// Rejects a container size the machine cannot hold: prints one line and
+// returns false.
+bool CheckVcpus(const Topology& machine, int vcpus) {
+  if (vcpus <= 0) {
+    std::fprintf(stderr, "the vCPU count must be positive, got %d\n", vcpus);
+    return false;
+  }
+  if (vcpus > machine.NumHwThreads()) {
+    std::fprintf(stderr, "%d vCPUs exceed the %d hardware threads of %s\n", vcpus,
+                 machine.NumHwThreads(), machine.name().c_str());
+    return false;
+  }
+  return true;
+}
+
+// Rejects a placement set the probe-pair search cannot train on (it probes
+// two distinct placements): prints one line and returns false. Runs before
+// any training starts.
+bool CheckTrainable(const ImportantPlacementSet& set, const std::string& machine) {
+  if (set.placements.size() < 2) {
+    std::fprintf(stderr,
+                 "cannot train a model for %s at %d vCPUs: it has %zu important "
+                 "placement(s), and the model probes two\n",
+                 machine.c_str(), set.vcpus, set.placements.size());
+    return false;
+  }
+  return true;
+}
+
 int CmdPlacements(const std::string& machine_name, int vcpus) {
   const Topology machine = MakeMachine(machine_name);
+  if (!CheckVcpus(machine, vcpus)) {
+    return 2;
+  }
   const bool use_ic = InterconnectIsAsymmetric(machine);
   const ImportantPlacementSet set = GenerateImportantPlacements(machine, vcpus, use_ic);
   std::printf("%s, %d vCPUs: %zu important placements\n", machine.name().c_str(), vcpus,
@@ -152,14 +184,21 @@ int CmdConcerns(const std::string& machine_name) {
 
 int CmdTrain(const std::string& machine_name, int vcpus, const std::string& path) {
   const Topology machine = MakeMachine(machine_name);
+  if (!CheckVcpus(machine, vcpus)) {
+    return 2;
+  }
   const bool use_ic = InterconnectIsAsymmetric(machine);
   const ImportantPlacementSet set = GenerateImportantPlacements(machine, vcpus, use_ic);
+  if (!CheckTrainable(set, machine.name())) {
+    return 2;
+  }
   const int baseline_id = machine_name == "intel" ? 2 : 1;
   PerformanceModel sim(machine, 0.015, 1);
   ModelPipeline pipeline(set, sim, baseline_id, 42);
   Rng rng(7);
   PerfModelConfig config;
-  std::printf("training on 72 synthetic workloads (this takes a few seconds)...\n");
+  std::printf("training a model for (%s, %d vCPUs) on 72 synthetic workloads...\n",
+              machine.name().c_str(), vcpus);
   const TrainedPerfModel model =
       pipeline.TrainPerfAuto(SampleTrainingWorkloads(72, rng), config);
   std::ofstream out(path);
@@ -256,8 +295,15 @@ int CmdSchedule(const std::string& machine_name, int vcpus, int num_containers,
     return 2;
   }
   const Topology machine = MakeMachine(machine_name);
+  if (!CheckVcpus(machine, vcpus)) {
+    return 2;
+  }
   const bool use_ic = InterconnectIsAsymmetric(machine);
   const ImportantPlacementSet set = GenerateImportantPlacements(machine, vcpus, use_ic);
+  std::unique_ptr<SchedulingPolicy> policy = MakePolicy(policy_name);
+  if (policy->UsesModel() && !CheckTrainable(set, machine.name())) {
+    return 2;
+  }
   const int baseline_id = machine_name == "intel" ? 2 : 1;
   PerformanceModel solo(machine, 0.015, 1);
   MultiTenantModel multi(machine, 0.015, 1);
@@ -267,7 +313,6 @@ int CmdSchedule(const std::string& machine_name, int vcpus, int num_containers,
   sched_config.policy = policy_name;
   sched_config.baseline_id = baseline_id;
   sched_config.use_interconnect_concern = use_ic;
-  std::unique_ptr<SchedulingPolicy> policy = MakePolicy(policy_name);
   if (policy->UsesModel()) {
     std::printf("training a model for (%s, %d vCPUs) on 72 synthetic workloads...\n",
                 machine.name().c_str(), vcpus);
@@ -412,6 +457,10 @@ int CmdFleet(const std::string& machines_csv, int vcpus, int containers_per_stre
     std::fprintf(stderr, "need at least one container per machine stream\n");
     return 2;
   }
+  if (vcpus <= 0) {
+    std::fprintf(stderr, "the vCPU count must be positive, got %d\n", vcpus);
+    return 2;
+  }
   std::vector<std::string> machine_names;
   std::string token;
   for (char c : machines_csv + ",") {
@@ -440,6 +489,17 @@ int CmdFleet(const std::string& machines_csv, int vcpus, int containers_per_stre
     spec.scheduler.use_interconnect_concern = InterconnectIsAsymmetric(spec.topo);
     baseline_of_group[spec.topo.name()] = spec.scheduler.baseline_id;
     specs.push_back(std::move(spec));
+  }
+  int largest_machine = 0;
+  for (const MachineSpec& spec : specs) {
+    largest_machine = std::max(largest_machine, spec.topo.NumHwThreads());
+  }
+  if (vcpus > largest_machine) {
+    std::fprintf(stderr,
+                 "no machine in the fleet fits %d-vCPU containers (the largest has %d "
+                 "hardware threads)\n",
+                 vcpus, largest_machine);
+    return 2;
   }
   FleetConfig fleet_config;
   fleet_config.dispatch = dispatch_name;
@@ -480,6 +540,44 @@ int CmdFleet(const std::string& machines_csv, int vcpus, int containers_per_stre
     dispatch = MakeDispatchPolicy(dispatch_name);
   }
   FleetScheduler fleet(std::move(specs), fleet_config, std::move(dispatch));
+  for (const FleetEvent& event : machine_events) {
+    const DomainScope scope = event.domain_scope();
+    if (event.machine_id() >= fleet.domains().NumDomains(scope)) {
+      const char* flag = event.kind() == FleetEventKind::kMachineFail    ? "fail"
+                         : event.kind() == FleetEventKind::kMachineDrain ? "drain"
+                                                                         : "rejoin";
+      std::fprintf(stderr, "--%s targets %s %d, but the fleet has %ss 0..%d\n", flag,
+                   ToString(scope), event.machine_id(), ToString(scope),
+                   fleet.domains().NumDomains(scope) - 1);
+      return 2;
+    }
+  }
+  // One placement set — and, for model policies, one trained model — per
+  // distinct topology group, shared by every machine of the group. Every
+  // set is built and checked before the first model is trained.
+  const bool uses_model = MakePolicy(policy_name)->UsesModel();
+  const auto topology_of = [&](const std::string& group) {
+    for (size_t m = 0; m < machine_names.size(); ++m) {
+      if (fleet.topology(static_cast<int>(m)).name() == group) {
+        return fleet.topology(static_cast<int>(m));
+      }
+    }
+    std::fprintf(stderr, "group '%s' has no machine\n", group.c_str());
+    std::exit(1);
+  };
+  std::map<std::string, ImportantPlacementSet> placements_of_group;
+  for (const std::string& group : fleet.GroupNames()) {
+    const Topology topo = topology_of(group);
+    if (topo.NumHwThreads() < vcpus) {
+      continue;
+    }
+    ImportantPlacementSet set =
+        GenerateImportantPlacements(topo, vcpus, InterconnectIsAsymmetric(topo));
+    if (uses_model && !CheckTrainable(set, group)) {
+      return 2;
+    }
+    placements_of_group.emplace(group, std::move(set));
+  }
   std::printf("failure domains: %d machines over %d racks, %d zones\n",
               fleet.domains().NumMachines(), fleet.domains().NumRacks(),
               fleet.domains().NumZones());
@@ -508,28 +606,17 @@ int CmdFleet(const std::string& machines_csv, int vcpus, int containers_per_stre
                 sharded->config().inner.c_str());
   }
 
-  // One placement set — and, for model policies, one trained model — per
-  // distinct topology group, shared by every machine of the group.
-  const bool uses_model = MakePolicy(policy_name)->UsesModel();
   for (const std::string& group : fleet.GroupNames()) {
-    const Topology topo = [&] {
-      for (size_t m = 0; m < machine_names.size(); ++m) {
-        if (fleet.topology(static_cast<int>(m)).name() == group) {
-          return fleet.topology(static_cast<int>(m));
-        }
-      }
-      std::fprintf(stderr, "group '%s' has no machine\n", group.c_str());
-      std::exit(1);
-    }();
-    if (topo.NumHwThreads() < vcpus) {
+    const Topology topo = topology_of(group);
+    const auto it = placements_of_group.find(group);
+    if (it == placements_of_group.end()) {
       // The fleet never dispatches a container to a machine it cannot fit
       // on; this group only ever idles at this container size.
       std::printf("note: %s (%d hw threads) cannot fit %d-vCPU containers\n",
                   group.c_str(), topo.NumHwThreads(), vcpus);
       continue;
     }
-    const bool use_ic = InterconnectIsAsymmetric(topo);
-    const ImportantPlacementSet set = GenerateImportantPlacements(topo, vcpus, use_ic);
+    const ImportantPlacementSet& set = it->second;
     fleet.ProvidePlacements(group, set);
     if (uses_model) {
       std::printf("training a model for (%s, %d vCPUs) on 72 synthetic workloads...\n",
@@ -550,18 +637,6 @@ int CmdFleet(const std::string& machines_csv, int vcpus, int containers_per_stre
   trace_config.goal_fraction = 0.9;
   trace_config.mean_interarrival_seconds = 120.0;
   trace_config.mean_lifetime_seconds = 480.0;
-  for (const FleetEvent& event : machine_events) {
-    const DomainScope scope = event.domain_scope();
-    if (event.machine_id() >= fleet.domains().NumDomains(scope)) {
-      const char* flag = event.kind() == FleetEventKind::kMachineFail    ? "fail"
-                         : event.kind() == FleetEventKind::kMachineDrain ? "drain"
-                                                                         : "rejoin";
-      std::fprintf(stderr, "--%s targets %s %d, but the fleet has %ss 0..%d\n", flag,
-                   ToString(scope), event.machine_id(), ToString(scope),
-                   fleet.domains().NumDomains(scope) - 1);
-      return 2;
-    }
-  }
 
   Rng trace_rng(seed);
   // Flash-crowd mode swaps the flat Poisson generator for the diurnal +
