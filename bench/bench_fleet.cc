@@ -79,17 +79,6 @@
 // baseline) value, and a best-effort rejection rate strictly above
 // premium's — the shedding lands on the tier built to absorb it.
 //
-// A seventh sweep measures the parallel replay engine
-// (src/cluster/parallel.h): sharded mixed fleets replay the identical
-// trace serially and through the worker pool at 2 and 4 threads. The
-// equivalence gate is sim-time work — previews, decisions, queue
-// admissions and every deterministic report field must match the serial
-// run exactly (they are byte-identical by construction; any drift fails
-// the bench and CI). Wall-clock speedup vs. the serial run is reported at
-// every size, but asserted (>= 2x at the largest fleet with 4 threads)
-// only when NP_BENCH_STRICT is set in the environment — host timing on
-// shared CI runners is not reproducible enough to gate on.
-//
 // Every head-to-head and sweep run replays through a telemetry
 // MetricsObserver, so each JSON row additionally carries percentile digests
 // (count/p50/p95/p99/max) of the queue-wait and evacuation-latency
@@ -98,8 +87,6 @@
 // Flags:
 //   --smoke        tiny trace + small forests (CI Release-mode exercise)
 //   --json <path>  machine-readable results for the BENCH_*.json trajectory
-// Environment:
-//   NP_BENCH_STRICT  also assert wall-clock bounds (parallel speedup)
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -115,7 +102,6 @@
 #include "src/cluster/dispatch.h"
 #include "src/cluster/domains.h"
 #include "src/cluster/fleet.h"
-#include "src/cluster/parallel.h"
 #include "src/core/concern.h"
 #include "src/core/important.h"
 #include "src/model/pipeline.h"
@@ -171,6 +157,31 @@ struct FleetDef {
   std::vector<std::string> machines;  // short group names, one per machine
 };
 
+// One machine per entry of def.machines, every one running the model
+// policy; each group present gets its trained model and placement set.
+FleetScheduler BuildFleet(const FleetDef& def,
+                          const std::map<std::string, GroupAssets>& groups,
+                          const FleetConfig& config) {
+  std::vector<MachineSpec> specs;
+  for (const std::string& name : def.machines) {
+    const GroupAssets& group = groups.at(name);
+    MachineSpec spec(group.topo);
+    spec.scheduler.policy = "model";
+    spec.scheduler.baseline_id = group.baseline_id;
+    spec.scheduler.use_interconnect_concern = group.use_interconnect;
+    specs.push_back(std::move(spec));
+  }
+  FleetScheduler fleet(std::move(specs), config);
+  for (const auto& [name, group] : groups) {
+    if (std::find(def.machines.begin(), def.machines.end(), name) == def.machines.end()) {
+      continue;
+    }
+    fleet.GroupRegistry(group.topo.name()).Register(group.topo.name(), kVcpus, group.model);
+    fleet.ProvidePlacements(group.topo.name(), group.ips);
+  }
+  return fleet;
+}
+
 // Percentile digest of one telemetry histogram, captured after a replay so
 // the registry itself does not have to outlive the run.
 struct HistogramSummary {
@@ -207,26 +218,10 @@ struct ResultRow {
 ResultRow RunOne(const FleetDef& def, const std::string& dispatch_name,
                  const std::map<std::string, GroupAssets>& groups,
                  const EventStream& trace, bool rebalance_on_departure = true) {
-  std::vector<MachineSpec> specs;
-  for (const std::string& name : def.machines) {
-    const GroupAssets& group = groups.at(name);
-    MachineSpec spec(group.topo);
-    spec.scheduler.policy = "model";
-    spec.scheduler.baseline_id = group.baseline_id;
-    spec.scheduler.use_interconnect_concern = group.use_interconnect;
-    specs.push_back(std::move(spec));
-  }
   FleetConfig config;
   config.dispatch = dispatch_name;
   config.rebalance_on_departure = rebalance_on_departure;
-  FleetScheduler fleet(std::move(specs), config);
-  for (const auto& [name, group] : groups) {
-    if (std::find(def.machines.begin(), def.machines.end(), name) == def.machines.end()) {
-      continue;
-    }
-    fleet.GroupRegistry(group.topo.name()).Register(group.topo.name(), kVcpus, group.model);
-    fleet.ProvidePlacements(group.topo.name(), group.ips);
-  }
+  FleetScheduler fleet = BuildFleet(def, groups, config);
 
   ResultRow row;
   row.fleet = def.label;
@@ -438,27 +433,11 @@ EventStream MassEvacTrace(const TraceConfig& base, int n, uint64_t seed) {
 
 FleetOpsRow RunFleetOps(const FleetDef& def, const std::map<std::string, GroupAssets>& groups,
                         const EventStream& trace, bool sharded_ops, bool evaluate) {
-  std::vector<MachineSpec> specs;
-  for (const std::string& name : def.machines) {
-    const GroupAssets& group = groups.at(name);
-    MachineSpec spec(group.topo);
-    spec.scheduler.policy = "model";
-    spec.scheduler.baseline_id = group.baseline_id;
-    spec.scheduler.use_interconnect_concern = group.use_interconnect;
-    specs.push_back(std::move(spec));
-  }
   FleetConfig config;
   config.dispatch = "least-loaded";
   config.rebalance_on_departure = true;
   config.sharded_fleet_ops = sharded_ops;
-  FleetScheduler fleet(std::move(specs), config);
-  for (const auto& [name, group] : groups) {
-    if (std::find(def.machines.begin(), def.machines.end(), name) == def.machines.end()) {
-      continue;
-    }
-    fleet.GroupRegistry(group.topo.name()).Register(group.topo.name(), kVcpus, group.model);
-    fleet.ProvidePlacements(group.topo.name(), group.ips);
-  }
+  FleetScheduler fleet = BuildFleet(def, groups, config);
 
   FleetOpsRow row;
   row.num_machines = static_cast<int>(def.machines.size());
@@ -591,15 +570,6 @@ RackLossRow RunRackLoss(const FleetDef& def,
                         const std::map<std::string, GroupAssets>& groups,
                         const EventStream& trace, const char* scenario, bool spread,
                         int racks) {
-  std::vector<MachineSpec> specs;
-  for (const std::string& name : def.machines) {
-    const GroupAssets& group = groups.at(name);
-    MachineSpec spec(group.topo);
-    spec.scheduler.policy = "model";
-    spec.scheduler.baseline_id = group.baseline_id;
-    spec.scheduler.use_interconnect_concern = group.use_interconnect;
-    specs.push_back(std::move(spec));
-  }
   FleetConfig config;
   config.dispatch = "best-predicted";
   config.domain_racks = racks;
@@ -607,14 +577,7 @@ RackLossRow RunRackLoss(const FleetDef& def,
     config.spread_weight = 2.0;
     config.spread_max_per_rack = 2;
   }
-  FleetScheduler fleet(std::move(specs), config);
-  for (const auto& [name, group] : groups) {
-    if (std::find(def.machines.begin(), def.machines.end(), name) == def.machines.end()) {
-      continue;
-    }
-    fleet.GroupRegistry(group.topo.name()).Register(group.topo.name(), kVcpus, group.model);
-    fleet.ProvidePlacements(group.topo.name(), group.ips);
-  }
+  FleetScheduler fleet = BuildFleet(def, groups, config);
 
   RackLossRow row;
   row.contender = spread ? "spread" : "flat";
@@ -683,15 +646,6 @@ AdmissionRow RunAdmission(const FleetDef& def,
                           const std::map<std::string, GroupAssets>& groups,
                           const EventStream& trace, const std::string& policy,
                           const char* scenario) {
-  std::vector<MachineSpec> specs;
-  for (const std::string& name : def.machines) {
-    const GroupAssets& group = groups.at(name);
-    MachineSpec spec(group.topo);
-    spec.scheduler.policy = "model";
-    spec.scheduler.baseline_id = group.baseline_id;
-    spec.scheduler.use_interconnect_concern = group.use_interconnect;
-    specs.push_back(std::move(spec));
-  }
   FleetConfig config;
   config.dispatch = "least-loaded";
   config.admission = policy;
@@ -700,14 +654,7 @@ AdmissionRow RunAdmission(const FleetDef& def,
   // backlog whose drain re-saturates the fleet — deferred work seats on
   // any departure, ceiling or not — long after the burst has passed.
   config.admission_defer_limit = 2;
-  FleetScheduler fleet(std::move(specs), config);
-  for (const auto& [name, group] : groups) {
-    if (std::find(def.machines.begin(), def.machines.end(), name) == def.machines.end()) {
-      continue;
-    }
-    fleet.GroupRegistry(group.topo.name()).Register(group.topo.name(), kVcpus, group.model);
-    fleet.ProvidePlacements(group.topo.name(), group.ips);
-  }
+  FleetScheduler fleet = BuildFleet(def, groups, config);
 
   AdmissionRow row;
   row.policy = policy;
@@ -738,138 +685,6 @@ void PrintAdmissionRows(const std::vector<AdmissionRow>& rows) {
   table.Print(std::cout);
 }
 
-// One run of the parallel-replay sweep: the identical trace replayed either
-// serially (threads == 1, the plain FleetScheduler path) or through the
-// ParallelReplayEngine worker pool. Sharded dispatch — cells are what the
-// engine distributes over — and rebalance-on-departure off, as in the
-// dispatch scaling sweep.
-struct ParallelRow {
-  int num_machines = 0;
-  int threads = 1;
-  FleetReport report;
-  FleetStats stats;
-  HistogramSummary queue_wait;
-  ParallelReplayEngine::Stats engine;  // zeros for the serial run
-  double speedup = 1.0;  // serial wall seconds / this run's wall seconds
-};
-
-ParallelRow RunParallel(const FleetDef& def,
-                        const std::map<std::string, GroupAssets>& groups,
-                        const EventStream& trace, int threads) {
-  std::vector<MachineSpec> specs;
-  for (const std::string& name : def.machines) {
-    const GroupAssets& group = groups.at(name);
-    MachineSpec spec(group.topo);
-    spec.scheduler.policy = "model";
-    spec.scheduler.baseline_id = group.baseline_id;
-    spec.scheduler.use_interconnect_concern = group.use_interconnect;
-    specs.push_back(std::move(spec));
-  }
-  FleetConfig config;
-  config.dispatch = "sharded";
-  config.rebalance_on_departure = false;
-  FleetScheduler fleet(std::move(specs), config);
-  for (const auto& [name, group] : groups) {
-    if (std::find(def.machines.begin(), def.machines.end(), name) == def.machines.end()) {
-      continue;
-    }
-    fleet.GroupRegistry(group.topo.name()).Register(group.topo.name(), kVcpus, group.model);
-    fleet.ProvidePlacements(group.topo.name(), group.ips);
-  }
-
-  ParallelRow row;
-  row.num_machines = static_cast<int>(def.machines.size());
-  row.threads = threads;
-  // The MetricsObserver rides through the merge stage when parallel, so the
-  // histogram digests below are part of the equivalence surface too.
-  MetricsRegistry registry;
-  MetricsObserver metrics(&registry, nullptr, fleet.NumMachines());
-  if (threads > 1) {
-    ParallelReplayEngine engine(&fleet, ParallelReplayConfig{threads});
-    row.report = engine.ReplayWithEvaluation(trace, &metrics);
-    row.engine = engine.stats();
-  } else {
-    row.report = fleet.ReplayWithEvaluation(trace, &metrics);
-  }
-  row.stats = fleet.stats();
-  row.queue_wait = Summarize(*registry.FindHistogram("fleet.queue_wait_seconds"));
-  return row;
-}
-
-// The equivalence gate: sim-time work and results must match the serial run
-// exactly. These are deterministic quantities — same FP accumulation order
-// by construction — so the comparison is ==, not a tolerance. Host wall
-// time (report.wall_seconds) is the one field deliberately excluded.
-int CountParallelMismatches(const ParallelRow& serial, const ParallelRow& parallel) {
-  int mismatches = 0;
-  const auto check = [&](const char* what, double expected, double actual) {
-    if (expected != actual) {
-      std::fprintf(stderr,
-                   "FAIL: %d machines, %d threads: %s diverged from serial "
-                   "(%.17g vs %.17g)\n",
-                   parallel.num_machines, parallel.threads, what, actual, expected);
-      ++mismatches;
-    }
-  };
-  check("goal_attainment", serial.report.goal_attainment,
-        parallel.report.goal_attainment);
-  check("container_seconds_at_goal", serial.report.container_seconds_at_goal,
-        parallel.report.container_seconds_at_goal);
-  check("mean_utilization", serial.report.mean_utilization,
-        parallel.report.mean_utilization);
-  check("utilization_min", serial.report.utilization_min,
-        parallel.report.utilization_min);
-  check("utilization_max", serial.report.utilization_max,
-        parallel.report.utilization_max);
-  check("mean_queue_wait_seconds", serial.report.mean_queue_wait_seconds,
-        parallel.report.mean_queue_wait_seconds);
-  check("decisions", serial.report.decisions, parallel.report.decisions);
-  check("dispatch_previews", serial.stats.dispatch_previews,
-        parallel.stats.dispatch_previews);
-  check("fleet_probe_runs", serial.stats.fleet_probe_runs,
-        parallel.stats.fleet_probe_runs);
-  check("queue_admissions", serial.stats.queue_admissions,
-        parallel.stats.queue_admissions);
-  check("queue_wait_count", static_cast<double>(serial.queue_wait.count),
-        static_cast<double>(parallel.queue_wait.count));
-  check("queue_wait_p99", serial.queue_wait.p99, parallel.queue_wait.p99);
-  if (serial.report.machine_utilizations != parallel.report.machine_utilizations) {
-    std::fprintf(stderr,
-                 "FAIL: %d machines, %d threads: per-machine utilizations "
-                 "diverged from serial\n",
-                 parallel.num_machines, parallel.threads);
-    ++mismatches;
-  }
-  if (parallel.engine.sequences_drained != parallel.engine.sequences_assigned) {
-    std::fprintf(stderr,
-                 "FAIL: %d machines, %d threads: merge stage drained %llu of "
-                 "%llu sequences\n",
-                 parallel.num_machines, parallel.threads,
-                 static_cast<unsigned long long>(parallel.engine.sequences_drained),
-                 static_cast<unsigned long long>(parallel.engine.sequences_assigned));
-    ++mismatches;
-  }
-  return mismatches;
-}
-
-void PrintParallelRows(const std::vector<ParallelRow>& rows) {
-  TablePrinter table({"machines", "threads", "goal attainment", "decisions",
-                      "previews", "deferred commits", "reorder depth",
-                      "wall (s)", "speedup"});
-  for (const ParallelRow& row : rows) {
-    table.AddRow({std::to_string(row.num_machines), std::to_string(row.threads),
-                  TablePrinter::Num(100.0 * row.report.goal_attainment, 1) + "%",
-                  std::to_string(row.report.decisions),
-                  std::to_string(row.stats.dispatch_previews),
-                  std::to_string(row.engine.deferred_commits),
-                  std::to_string(row.engine.max_reorder_depth),
-                  TablePrinter::Num(row.report.wall_seconds, 2),
-                  row.threads == 1 ? "1.00x (baseline)"
-                                   : TablePrinter::Num(row.speedup, 2) + "x"});
-  }
-  table.Print(std::cout);
-}
-
 // Emits <prefix>_count/p50/p95/p99/max for one histogram digest.
 void WriteSummaryFields(JsonWriter& json, const std::string& prefix,
                         const HistogramSummary& summary) {
@@ -885,8 +700,7 @@ void WriteJson(const std::string& path, const std::vector<ResultRow>& rows,
                const std::vector<SweepRow>& sweep_rows,
                const std::vector<FleetOpsRow>& fleet_ops_rows,
                const std::vector<RackLossRow>& rack_loss_rows,
-               const std::vector<AdmissionRow>& admission_rows,
-               const std::vector<ParallelRow>& parallel_rows, bool smoke) {
+               const std::vector<AdmissionRow>& admission_rows, bool smoke) {
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -1073,32 +887,6 @@ void WriteJson(const std::string& path, const std::vector<ResultRow>& rows,
       json.EndObject();
     }
     json.EndArray();
-    json.EndObject();
-  }
-  json.EndArray();
-  json.Key("parallel_sweep");
-  json.BeginArray();
-  for (const ParallelRow& row : parallel_rows) {
-    json.BeginObject();
-    json.Field("num_machines", row.num_machines);
-    json.Field("threads", row.threads);
-    json.Field("goal_attainment", row.report.goal_attainment);
-    json.Field("decisions", row.report.decisions);
-    json.Field("dispatch_previews", row.stats.dispatch_previews);
-    json.Field("queue_admissions", row.stats.queue_admissions);
-    WriteSummaryFields(json, "queue_wait_seconds", row.queue_wait);
-    json.Field("deferred_commits",
-               static_cast<int64_t>(row.engine.deferred_commits));
-    json.Field("batches", static_cast<int64_t>(row.engine.batches));
-    json.Field("batch_tasks", static_cast<int64_t>(row.engine.batch_tasks));
-    json.Field("sequences_assigned",
-               static_cast<int64_t>(row.engine.sequences_assigned));
-    json.Field("sequences_drained",
-               static_cast<int64_t>(row.engine.sequences_drained));
-    json.Field("max_reorder_depth",
-               static_cast<int64_t>(row.engine.max_reorder_depth));
-    json.Field("wall_seconds", row.report.wall_seconds);
-    json.Field("speedup", row.speedup);
     json.EndObject();
   }
   json.EndArray();
@@ -1558,65 +1346,9 @@ int main(int argc, char** argv) {
     ++failures;
   }
 
-  // Parallel-replay sweep: the identical sharded trace per size, serial vs
-  // the worker-pool engine at 2 and 4 threads. Equivalence (sim-time work
-  // and results) is enforced at every size including smoke — that is the
-  // CI-stable gate. Wall-clock speedup is printed always but only asserted
-  // under NP_BENCH_STRICT: CI runners share cores, and a flaky timing gate
-  // teaches people to ignore red.
-  const std::vector<int> parallel_sizes = smoke ? std::vector<int>{16}
-                                                : std::vector<int>{256, 1024};
-  const std::vector<int> parallel_threads = {1, 2, 4};
-  TraceConfig parallel_base = sweep_base;
-  parallel_base.num_containers = smoke ? 2 : 4;
-  const bool strict = std::getenv("NP_BENCH_STRICT") != nullptr;
-  std::printf("\nparallel replay sweep — sharded dispatch, rebalance off, "
-              "%d containers per machine stream, threads {1, 2, 4}%s\n",
-              parallel_base.num_containers,
-              strict ? " (strict: speedup asserted)" : "");
-  std::vector<ParallelRow> parallel_rows;
-  for (int n : parallel_sizes) {
-    const FleetDef def = MixedFleet(n);
-    Rng parallel_rng(63);
-    const EventStream trace = GenerateFleetTrace(parallel_base, n, parallel_rng);
-    ParallelRow serial_row;
-    for (int threads : parallel_threads) {
-      ParallelRow row = RunParallel(def, groups, trace, threads);
-      if (threads == 1) {
-        serial_row = row;
-      } else {
-        failures += CountParallelMismatches(serial_row, row);
-        row.speedup = row.report.wall_seconds > 0.0
-                          ? serial_row.report.wall_seconds / row.report.wall_seconds
-                          : 0.0;
-      }
-      parallel_rows.push_back(std::move(row));
-    }
-  }
-  std::printf("\n");
-  PrintParallelRows(parallel_rows);
-  for (const ParallelRow& row : parallel_rows) {
-    if (row.threads == 1) {
-      continue;
-    }
-    std::printf("%d machines, %d threads: %.2fx vs serial (%llu deferred "
-                "commits, peak reorder depth %llu)\n",
-                row.num_machines, row.threads, row.speedup,
-                static_cast<unsigned long long>(row.engine.deferred_commits),
-                static_cast<unsigned long long>(row.engine.max_reorder_depth));
-    if (strict && !smoke && row.num_machines == parallel_sizes.back() &&
-        row.threads == 4 && row.speedup < 2.0) {
-      std::fprintf(stderr,
-                   "FAIL: parallel replay speedup %.2fx < 2x at %d machines "
-                   "with 4 threads (NP_BENCH_STRICT)\n",
-                   row.speedup, row.num_machines);
-      ++failures;
-    }
-  }
-
   if (!json_path.empty()) {
     WriteJson(json_path, rows, scenario_rows, sweep_rows, fleet_ops_rows,
-              rack_loss_rows, admission_rows, parallel_rows, smoke);
+              rack_loss_rows, admission_rows, smoke);
   }
   return failures == 0 ? 0 : 1;
 }

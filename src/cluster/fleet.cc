@@ -184,25 +184,10 @@ void FleetScheduler::SyncClocks(double now) {
   if (now == last_synced_) {
     // Every machine clock already reads `now`; AdvanceClock with dt == 0
     // adds count * 0.0 to a non-negative accumulator and leaves the last
-    // event time alone — a bitwise no-op, so skipping it is exact on the
-    // serial path too.
+    // event time alone — a bitwise no-op, so skipping it is exact.
     return;
   }
   last_synced_ = now;
-  if (hooks_ != nullptr) {
-    // Time advanced: close out the previous instant (commits, bookkeeping,
-    // buffered callbacks), then walk the machine clocks in parallel — the
-    // walk touches every machine, so it IS the inter-instant barrier.
-    hooks_->FlushAll();
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(machines_.size());
-    for (Machine& machine : machines_) {
-      MachineScheduler* scheduler = machine.scheduler.get();
-      tasks.push_back([scheduler, now] { scheduler->SyncClock(now); });
-    }
-    hooks_->RunBatch(&tasks);
-    return;
-  }
   for (Machine& machine : machines_) {
     machine.scheduler->SyncClock(now);
   }
@@ -236,20 +221,6 @@ void FleetScheduler::EnsureGroupProbes(const std::string& group,
   }
 }
 
-int FleetScheduler::GroupProberMachine(const std::string& group) const {
-  for (int m : groups_.at(group).machine_ids) {
-    const Machine& machine = machines_[static_cast<size_t>(m)];
-    if (machine.availability != MachineAvailability::kUp) {
-      continue;
-    }
-    if (!machine.scheduler->policy().UsesModel()) {
-      continue;
-    }
-    return m;
-  }
-  return kNoMachine;
-}
-
 std::vector<MachineCandidate> FleetScheduler::BuildCandidates(
     const ContainerRequest& request, bool with_previews,
     const std::vector<int>* only) {
@@ -270,31 +241,6 @@ std::vector<MachineCandidate> FleetScheduler::BuildCandidates(
   } else {
     machine_ids.resize(static_cast<size_t>(NumMachines()));
     std::iota(machine_ids.begin(), machine_ids.end(), 0);
-  }
-  if (hooks_ != nullptr) {
-    // This decision is about to read the considered machines' occupancy and
-    // queues (and possibly probe through their group registries): wait out
-    // any commit still in flight on them. Machines outside the flush set
-    // keep committing concurrently — their state is not read here, and the
-    // deferred fleet-side bookkeeping is not read by dispatch decisions.
-    std::vector<int> flush = machine_ids;
-    if (with_previews) {
-      // The group's prober (its first up, model-using member) may sit
-      // outside a preselection; its scheduler is mutated by EnsureProbes.
-      std::set<std::string> groups_seen;
-      for (int m : machine_ids) {
-        const Machine& machine = machines_[static_cast<size_t>(m)];
-        if (machine.availability == MachineAvailability::kUp &&
-            request.vcpus <= machine.topo->NumHwThreads() &&
-            groups_seen.insert(machine.group).second) {
-          const int prober = GroupProberMachine(machine.group);
-          if (prober != kNoMachine) {
-            flush.push_back(prober);
-          }
-        }
-      }
-    }
-    hooks_->FlushMachines(flush);
   }
   if (with_previews) {
     // Probe a group only when an up machine of it under consideration could
@@ -327,33 +273,13 @@ std::vector<MachineCandidate> FleetScheduler::BuildCandidates(
     candidate.utilization = machine.scheduler->occupancy().Utilization();
     candidate.free_threads = machine.scheduler->occupancy().FreeThreadCount();
     candidate.pending = static_cast<int>(machine.scheduler->PendingIds().size());
-    candidates.push_back(std::move(candidate));
-  }
-  if (with_previews) {
-    // Previews are filled after the candidate walk (probes above made them
-    // pure per-machine reads), so they can run as one parallel batch — one
-    // task per candidate machine, no two touching the same scheduler. The
-    // results are identical to the interleaved serial fill.
-    if (hooks_ != nullptr && candidates.size() > 1) {
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve(candidates.size());
-      for (MachineCandidate& candidate : candidates) {
-        MachineCandidate* slot = &candidate;
-        const ContainerRequest* req = &request;
-        tasks.push_back([slot, req] {
-          slot->preview = slot->scheduler->PreviewAdmission(*req);
-          slot->preview_valid = true;
-        });
-      }
-      hooks_->RunBatch(&tasks);
-      stats_.dispatch_previews += static_cast<int>(candidates.size());
-    } else {
-      for (MachineCandidate& candidate : candidates) {
-        candidate.preview = candidate.scheduler->PreviewAdmission(request);
-        candidate.preview_valid = true;
-        ++stats_.dispatch_previews;
-      }
+    if (with_previews) {
+      // A pure read of this machine: every group was probed above.
+      candidate.preview = machine.scheduler->PreviewAdmission(request);
+      candidate.preview_valid = true;
+      ++stats_.dispatch_previews;
     }
+    candidates.push_back(std::move(candidate));
   }
   // Only a full build can prove a configuration error; a preselection that
   // fits nothing falls back to a full build in Dispatch.
@@ -541,7 +467,7 @@ void FleetScheduler::PreemptQueuedBestEffort(double now, EventObserver* observer
 }
 
 FleetOutcome FleetScheduler::Dispatch(const ContainerRequest& request, double now,
-                                      EventObserver* observer, DispatchOrigin origin) {
+                                      EventObserver* observer) {
   ++stats_.dispatch_decisions;
   const int previews_before = stats_.dispatch_previews;
   const std::vector<int> preselected = dispatch_->Preselect(request);
@@ -567,9 +493,6 @@ FleetOutcome FleetScheduler::Dispatch(const ContainerRequest& request, double no
     // A new fleet-wide waiter is a rebalance candidate the occupancy
     // deltas cannot see.
     capacity_index_.MarkCapacityChanged();
-    if (origin == DispatchOrigin::kSubmit) {
-      ++stats_.queued;
-    }
     ScheduleOutcome outcome;
     outcome.container_id = request.id;
     if (observer != nullptr) {
@@ -579,43 +502,14 @@ FleetOutcome FleetScheduler::Dispatch(const ContainerRequest& request, double no
   }
   const int machine_id = ChooseMachine(request, candidates);
 
-  // Decision-time fleet bookkeeping, before the machine-local commit: the
-  // next same-instant decision must see this container as routed (it holds
-  // its rack slot for the spread dimension, and is no longer unplaced)
-  // whether the commit runs inline or on a worker. The machine's Submit
-  // reads none of this, so the serial path is unchanged by the hoist.
+  // The container is routed: it holds its rack slot for the spread
+  // dimension and is no longer unplaced.
   unplaced_.erase(request.id);
   machine_of_[request.id] = machine_id;
   domain_occupancy_->Add(request.id, ServiceGroupOf(request.workload.name), machine_id);
 
-  if (hooks_ != nullptr && origin == DispatchOrigin::kSubmit) {
-    // Defer the machine-local Submit to the target's cell worker. The
-    // engine reserved this decision's callback slot; FinishDispatch runs
-    // the tail (capacity index, wait set, counters, OnAdmission/OnQueued)
-    // in decision order once the commit lands. The returned outcome is a
-    // placeholder — Step ignores it, and direct Submit callers must not
-    // run under hooks (see SetParallelHooks).
-    auto ticket = std::make_shared<PendingDispatch>();
-    ticket->request = request;
-    ticket->machine_id = machine_id;
-    ticket->now = now;
-    ticket->observer = observer;
-    hooks_->EnqueueDispatchCommit(std::move(ticket));
-    ScheduleOutcome placeholder;
-    placeholder.container_id = request.id;
-    return {machine_id, std::move(placeholder)};
-  }
-
   ScheduleOutcome outcome =
       machines_[static_cast<size_t>(machine_id)].scheduler->Submit(request, now);
-  FinishDispatchTail(machine_id, outcome, now, observer,
-                     origin == DispatchOrigin::kSubmit);
-  return {machine_id, std::move(outcome)};
-}
-
-void FleetScheduler::FinishDispatchTail(int machine_id, const ScheduleOutcome& outcome,
-                                        double now, EventObserver* observer,
-                                        bool from_submit) {
   capacity_index_.OnOccupancyChange(machine_id);
   if (outcome.admitted) {
     if (!outcome.meets_goal) {
@@ -635,27 +529,7 @@ void FleetScheduler::FinishDispatchTail(int machine_id, const ScheduleOutcome& o
       observer->OnQueued(machine_id, outcome, now);
     }
   }
-  if (from_submit) {
-    if (outcome.admitted) {
-      ++stats_.dispatched_immediately;
-    } else {
-      ++stats_.queued;
-    }
-  }
-}
-
-void FleetScheduler::CommitDispatch(PendingDispatch* ticket) {
-  ticket->outcome = machines_[static_cast<size_t>(ticket->machine_id)].scheduler->Submit(
-      ticket->request, ticket->now);
-  ticket->committed.store(true, std::memory_order_release);
-}
-
-void FleetScheduler::FinishDispatch(const PendingDispatch& ticket) {
-  NP_CHECK_MSG(ticket.committed.load(std::memory_order_acquire),
-               "FinishDispatch before the worker committed container "
-                   << ticket.request.id);
-  FinishDispatchTail(ticket.machine_id, ticket.outcome, ticket.now, ticket.observer,
-                     /*from_submit=*/true);
+  return {machine_id, std::move(outcome)};
 }
 
 FleetOutcome FleetScheduler::Submit(const ContainerRequest& request, double now,
@@ -668,12 +542,6 @@ FleetOutcome FleetScheduler::Submit(const ContainerRequest& request, double now,
     const SloTier tier = TierOf(request.workload.name);
     const size_t t = static_cast<size_t>(tier);
     ++stats_.tier_arrivals[t];
-    if (hooks_ != nullptr) {
-      // The admission context reads fleet-wide saturation (capacity-index
-      // summaries, the wait set) that same-instant deferred commits update:
-      // close them out so the decision sees exactly the serial state.
-      hooks_->FlushAll();
-    }
     const AdmissionContext ctx = BuildAdmissionContext(request, tier);
     AdmissionDecision decision = admission_->Decide(ctx);
     if (decision == AdmissionDecision::kPreempt && !ctx.queued_best_effort) {
@@ -722,20 +590,12 @@ FleetOutcome FleetScheduler::Submit(const ContainerRequest& request, double now,
     }
   }
   submit_time_[request.id] = now;
-  // The dispatched_immediately / queued counters moved into the dispatch
-  // tail (FinishDispatchTail), which under parallel hooks runs when the
-  // deferred commit's outcome is known.
-  return Dispatch(request, now, observer, DispatchOrigin::kSubmit);
+  FleetOutcome dispatched = Dispatch(request, now, observer);
+  ++(dispatched.outcome.admitted ? stats_.dispatched_immediately : stats_.queued);
+  return dispatched;
 }
 
 void FleetScheduler::Depart(int container_id, double now, EventObserver* observer) {
-  if (hooks_ != nullptr) {
-    // A departure at an already-synced instant would otherwise run with
-    // same-instant commits still in flight (SyncClocks skips, so it does
-    // not flush); departures read and mutate machine and fleet state, so
-    // they are full barriers.
-    hooks_->FlushAll();
-  }
   SyncClocks(now);
   if (rejected_.erase(container_id) > 0) {
     // The admission layer shed this container (arrival reject or preemption
@@ -823,9 +683,6 @@ void FleetScheduler::Fail(int machine_id, double now, EventObserver* observer) {
   NP_CHECK(machine_id >= 0 && machine_id < NumMachines());
   NP_CHECK_MSG(availability(machine_id) != MachineAvailability::kFailed,
                "machine " << machine_id << " already failed");
-  if (hooks_ != nullptr) {
-    hooks_->FlushAll();  // machine events are coordinator barriers
-  }
   SyncClocks(now);
   SetAvailability(machine_id, MachineAvailability::kFailed, now, observer);
   Evacuate(machine_id, /*graceful=*/false, now, observer);
@@ -836,9 +693,6 @@ void FleetScheduler::Drain(int machine_id, double now, EventObserver* observer) 
   NP_CHECK_MSG(availability(machine_id) == MachineAvailability::kUp,
                "only an up machine can drain — machine "
                    << machine_id << " is " << ToString(availability(machine_id)));
-  if (hooks_ != nullptr) {
-    hooks_->FlushAll();  // machine events are coordinator barriers
-  }
   SyncClocks(now);
   SetAvailability(machine_id, MachineAvailability::kDraining, now, observer);
   Evacuate(machine_id, /*graceful=*/true, now, observer);
@@ -848,9 +702,6 @@ void FleetScheduler::Rejoin(int machine_id, double now, EventObserver* observer)
   NP_CHECK(machine_id >= 0 && machine_id < NumMachines());
   NP_CHECK_MSG(availability(machine_id) != MachineAvailability::kUp,
                "machine " << machine_id << " is already up");
-  if (hooks_ != nullptr) {
-    hooks_->FlushAll();  // machine events are coordinator barriers
-  }
   SyncClocks(now);
   SetAvailability(machine_id, MachineAvailability::kUp, now, observer);
   // The returned (empty) capacity immediately serves waiting work.
@@ -1050,15 +901,6 @@ int FleetScheduler::FindBestTarget(const TargetSearch& search, RebalanceMove* be
   const ContainerRequest& request = *search.request;
   int best_target = -1;
   double best_score = 0.0;  // spread-discounted surplus the ranking compares
-  // Pass 1 (coordinator): spread-filter the targets and make sure every
-  // surviving target's group has probe measurements. EnsureGroupProbes is
-  // idempotent per group, so running it here — in the same target order the
-  // fused loop used — charges exactly the probe runs the serial code did.
-  struct EligibleTarget {
-    int machine_id = kNoMachine;
-    int colocated = 0;
-  };
-  std::vector<EligibleTarget> eligible;
   for (int t : SelectFleetOpTargets(request, search.exclude_machine)) {
     // Spread dimension, mirrored from dispatch: a rack already holding
     // replicas of the mover's service group is discounted, and hard-skipped
@@ -1076,41 +918,13 @@ int FleetScheduler::FindBestTarget(const TargetSearch& search, RebalanceMove* be
         continue;
       }
     }
-    EnsureGroupProbes(machines_[static_cast<size_t>(t)].group, request);
-    eligible.push_back({t, colocated});
-  }
-  // Pass 2: previews. Each one is a const read of its own machine (plus the
-  // shard-locked registry), so under parallel hooks the batch fans out; the
-  // serial path fills the same vector inline. Either way the previews land
-  // indexed by eligible-target order, which pass 3 walks — identical
-  // evaluation order, identical arithmetic, byte-identical result.
-  std::vector<MachineScheduler::AdmissionPreview> previews(eligible.size());
-  if (hooks_ != nullptr && eligible.size() > 1) {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(eligible.size());
-    for (size_t i = 0; i < eligible.size(); ++i) {
-      const MachineScheduler* scheduler =
-          machines_[static_cast<size_t>(eligible[i].machine_id)].scheduler.get();
-      MachineScheduler::AdmissionPreview* slot = &previews[i];
-      tasks.push_back([scheduler, slot, &request] {
-        *slot = scheduler->PreviewAdmission(request);
-      });
+    const Machine& target = machines_[static_cast<size_t>(t)];
+    EnsureGroupProbes(target.group, request);
+    const MachineScheduler::AdmissionPreview preview =
+        target.scheduler->PreviewAdmission(request);
+    if (search.previews != nullptr) {
+      ++*search.previews;
     }
-    hooks_->RunBatch(&tasks);
-  } else {
-    for (size_t i = 0; i < eligible.size(); ++i) {
-      previews[i] = machines_[static_cast<size_t>(eligible[i].machine_id)]
-                        .scheduler->PreviewAdmission(request);
-    }
-  }
-  if (search.previews != nullptr) {
-    *search.previews += static_cast<int>(eligible.size());
-  }
-  // Pass 3: the scoring loop, verbatim from the fused version.
-  for (size_t i = 0; i < eligible.size(); ++i) {
-    const int t = eligible[i].machine_id;
-    const int colocated = eligible[i].colocated;
-    const MachineScheduler::AdmissionPreview& preview = previews[i];
     if (!preview.realizable) {
       continue;
     }
@@ -1329,11 +1143,6 @@ void FleetScheduler::Replay(const EventStream& trace, EventObserver* observer) {
   for (const FleetEvent& event : trace) {
     Step(event, observer);
   }
-  if (hooks_ != nullptr) {
-    // The caller reads fleet state (reports, snapshots) after Replay
-    // returns; no dispatch commit may still be in flight.
-    hooks_->FlushAll();
-  }
 }
 
 int FleetScheduler::MachineOf(int container_id) const {
@@ -1389,11 +1198,6 @@ FleetReport FleetScheduler::ReplayWithEvaluation(const EventStream& trace,
   for (const FleetEvent& event : trace) {
     const double dt = event.time_seconds - last_time;
     if (dt > 0.0) {
-      if (hooks_ != nullptr) {
-        // The snapshots below read every machine's live tenant set; commits
-        // queued by same-instant arrivals must land first.
-        hooks_->FlushAll();
-      }
       // The tenant set is constant over (last_time, event.time], so the
       // integrals grow linearly across the interval. The sampler needs the
       // per-second rates to interpolate at snapshot instants; the report
@@ -1468,11 +1272,6 @@ FleetReport FleetScheduler::ReplayWithEvaluation(const EventStream& trace,
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   }
 
-  if (hooks_ != nullptr) {
-    // Deferred commits tally their admission through the counter at drain
-    // time; every one must have landed before the report reads the totals.
-    hooks_->FlushAll();
-  }
   report.decisions = counter.admissions;
   for (size_t t = 0; t < static_cast<size_t>(kNumSloTiers); ++t) {
     report.tier_container_seconds[t] = tier_seconds[t];

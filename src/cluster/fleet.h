@@ -45,8 +45,6 @@
 #define NUMAPLACE_SRC_CLUSTER_FLEET_H_
 
 #include <array>
-#include <atomic>
-#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -238,49 +236,6 @@ struct FleetReport {
   std::array<double, kNumSloTiers> tier_container_seconds{};
 };
 
-/// A dispatch commit decided on the coordinator but executed on a worker:
-/// the coordinator fixed the target machine (admission + dispatch ordering
-/// is unchanged), the worker runs the machine-local Submit, and the
-/// coordinator finishes the fleet-side bookkeeping (capacity index, wait
-/// set, observer callbacks) in decision order when the reorder buffer
-/// reaches the ticket. `committed` is the worker -> coordinator handoff.
-struct PendingDispatch {
-  ContainerRequest request;
-  int machine_id = kNoMachine;
-  double now = 0.0;
-  /// Observer captured at decision time, so the drained callbacks pass
-  /// through the same chain (e.g. the replay's AdmissionCounter) a serial
-  /// dispatch would.
-  EventObserver* observer = nullptr;
-  ScheduleOutcome outcome;
-  std::atomic<bool> committed{false};
-};
-
-/// The hooks a parallel replay engine (src/cluster/parallel.h) installs on a
-/// FleetScheduler via SetParallelHooks. With no hooks installed (the
-/// default) the fleet runs exactly the serial code path. The contract:
-///
-///   * RunBatch runs independent tasks, each touching a different machine,
-///     possibly concurrently, and returns when all are done (a barrier);
-///   * EnqueueDispatchCommit queues a decided dispatch: some worker calls
-///     FleetScheduler::CommitDispatch on the ticket, and the engine calls
-///     FleetScheduler::FinishDispatch in decision order once the ticket's
-///     machine has no commit in flight;
-///   * FlushMachines waits until every queued commit targeting the given
-///     machines has run (their schedulers are safe to read);
-///   * FlushAll waits until every queued commit ran AND every ticket was
-///     finished and every buffered observer callback was delivered — after
-///     it, fleet and observer state is exactly what a serial replay of the
-///     same prefix would have produced.
-class FleetParallelHooks {
- public:
-  virtual ~FleetParallelHooks() = default;
-  virtual void RunBatch(std::vector<std::function<void()>>* tasks) = 0;
-  virtual void EnqueueDispatchCommit(std::shared_ptr<PendingDispatch> ticket) = 0;
-  virtual void FlushMachines(const std::vector<int>& machine_ids) = 0;
-  virtual void FlushAll() = 0;
-};
-
 /// Cluster scheduler owning one MachineScheduler per machine; see the file
 /// comment for the event-processing semantics.
 class FleetScheduler {
@@ -412,26 +367,6 @@ class FleetScheduler {
   /// Per-machine time-averaged utilizations, machine order.
   std::vector<double> TimeAveragedUtilizations() const;
 
-  /// Installs (or, with nullptr, removes) the parallel replay hooks. While
-  /// hooks are installed, Submit-path dispatch commits are deferred to the
-  /// engine and the fleet's own Submit return value carries a placeholder
-  /// outcome — replay through the engine, not by calling Submit directly.
-  void SetParallelHooks(FleetParallelHooks* hooks) { hooks_ = hooks; }
-  /// Whether parallel hooks are currently installed.
-  bool ParallelHooksInstalled() const { return hooks_ != nullptr; }
-
-  /// Worker-side half of a deferred dispatch: runs the machine-local Submit
-  /// for the ticket's decided target and publishes the outcome. The only
-  /// state it touches is the target machine's scheduler (plus the group
-  /// registry behind its shard locks), so commits for different machines
-  /// are safe to run concurrently.
-  void CommitDispatch(PendingDispatch* ticket);
-  /// Coordinator-side half, called by the engine in decision order once the
-  /// ticket's machine has no commit in flight: capacity-index update, wait
-  /// set and queue-wait bookkeeping, submit counters, and the OnAdmission /
-  /// OnQueued callback through the ticket's observer.
-  void FinishDispatch(const PendingDispatch& ticket);
-
  private:
   struct Machine {
     std::unique_ptr<Topology> topo;  // stable address: schedulers keep pointers
@@ -449,18 +384,12 @@ class FleetScheduler {
   // Advances every machine's stats clock to `now` so per-machine utilization
   // averages integrate over the same span. Skipped when the fleet already
   // synced to exactly `now` (AdvanceClock with dt == 0 is a bitwise no-op,
-  // so the skip changes nothing on the serial path and saves the
-  // same-instant barrier on the parallel one).
+  // so the skip changes no result and saves the machine walk).
   void SyncClocks(double now);
 
   // Probes the container once for the group when its registry lacks a
   // prediction and any up machine needs the model, charging the fleet stats.
   void EnsureGroupProbes(const std::string& group, const ContainerRequest& request);
-
-  // The machine EnsureGroupProbes would run the group's probes on right now
-  // (its first up, model-using member), kNoMachine when the group has none —
-  // the parallel path must flush that machine before probing through it.
-  int GroupProberMachine(const std::string& group) const;
 
   // Candidate views (available machines the container fits on — possibly
   // none) for one dispatch decision; probes the groups of the candidate
@@ -478,28 +407,12 @@ class FleetScheduler {
   int ChooseMachine(const ContainerRequest& request,
                     std::vector<MachineCandidate>& candidates);
 
-  // Who asked for the dispatch. Submit-path dispatches (fresh arrivals) may
-  // be deferred to a worker under parallel hooks; fleet-op dispatches
-  // (evacuation requeues, the unplaced drain) run at coordinator barriers
-  // and need the outcome synchronously, so they always commit inline.
-  enum class DispatchOrigin { kSubmit, kFleetOp };
-
   // Dispatch core shared by Submit, evacuation requeues and the unplaced
   // drain: asks the policy for a preselection, routes through the dispatch
   // policy, queueing on the chosen machine or fleet-wide when no available
   // machine fits. The container's submit_time_ entry must already exist.
-  // Under parallel hooks a kSubmit dispatch returns a placeholder outcome
-  // (the commit is deferred); kFleetOp commits inline either way.
   FleetOutcome Dispatch(const ContainerRequest& request, double now,
-                        EventObserver* observer,
-                        DispatchOrigin origin = DispatchOrigin::kFleetOp);
-
-  // The post-commit tail of a dispatch, shared by the serial path and
-  // FinishDispatch: capacity-index notification, wait-set and queue-wait
-  // bookkeeping, the OnAdmission / OnQueued callback, and (for Submit-path
-  // dispatches) the dispatched_immediately / queued counters.
-  void FinishDispatchTail(int machine_id, const ScheduleOutcome& outcome, double now,
-                          EventObserver* observer, bool from_submit);
+                        EventObserver* observer);
 
   // Queue-wait bookkeeping for an admission outcome observed at `now`.
   void RecordAdmission(const ScheduleOutcome& outcome, double now);
@@ -608,10 +521,8 @@ class FleetScheduler {
   std::map<int, ContainerRequest> unplaced_;  // waiting fleet-wide, no machine
   std::map<int, double> submit_time_;
   std::set<int> waiting_;              // submitted but not yet placed
-  // Parallel replay hooks (null = serial path; see FleetParallelHooks).
-  FleetParallelHooks* hooks_ = nullptr;
   // Instant every machine clock was last synced to, so same-instant events
-  // skip the no-op machine walk (and, under hooks, the barrier it implies).
+  // skip the no-op machine walk.
   double last_synced_ = -std::numeric_limits<double>::infinity();
   FleetStats stats_;
   std::vector<RebalanceMove> rebalance_log_;

@@ -38,9 +38,6 @@ const CachedPrediction& ModelRegistry::Predict(int container_id,
                                                const std::string& machine, int vcpus,
                                                double perf_a, double perf_b) {
   NP_CHECK(container_id >= 0);
-  // The model run happens outside the shard lock: Predict is a pure function
-  // of (model, perf_a, perf_b), so concurrent predictions for different
-  // containers only contend for the brief map insert.
   const TrainedPerfModel& model = Get(machine, vcpus);
   CachedPrediction entry;
   entry.perf_a = perf_a;
@@ -48,9 +45,7 @@ const CachedPrediction& ModelRegistry::Predict(int container_id,
   entry.input_a = model.input_a;
   entry.input_b = model.input_b;
   entry.predicted_relative = model.Predict(perf_a, perf_b);
-  PredictionShard& shard = ShardFor(container_id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto [it, inserted] = shard.entries.emplace(container_id, std::move(entry));
+  const auto [it, inserted] = predictions_.emplace(container_id, std::move(entry));
   NP_CHECK_MSG(inserted, "container " << container_id
                                       << " already has a cached prediction; Forget() "
                                          "it first");
@@ -69,31 +64,10 @@ const CachedPrediction& ModelRegistry::PredictOrGet(int container_id,
 }
 
 const CachedPrediction* ModelRegistry::FindPrediction(int container_id) const {
-  if (container_id < 0) {
-    return nullptr;
-  }
-  const PredictionShard& shard = ShardFor(container_id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.entries.find(container_id);
-  return it == shard.entries.end() ? nullptr : &it->second;
+  const auto it = predictions_.find(container_id);
+  return it == predictions_.end() ? nullptr : &it->second;
 }
 
-void ModelRegistry::Forget(int container_id) {
-  if (container_id < 0) {
-    return;
-  }
-  PredictionShard& shard = ShardFor(container_id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.entries.erase(container_id);
-}
-
-size_t ModelRegistry::NumCachedPredictions() const {
-  size_t total = 0;
-  for (const PredictionShard& shard : predictions_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.entries.size();
-  }
-  return total;
-}
+void ModelRegistry::Forget(int container_id) { predictions_.erase(container_id); }
 
 }  // namespace numaplace

@@ -10,10 +10,8 @@
 #ifndef NUMAPLACE_SRC_MODEL_REGISTRY_H_
 #define NUMAPLACE_SRC_MODEL_REGISTRY_H_
 
-#include <array>
 #include <istream>
 #include <map>
-#include <mutex>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -32,15 +30,10 @@ struct CachedPrediction {
   std::vector<double> predicted_relative;  // model output, model's id order
 };
 
-// Thread-safety: the *prediction cache* is sharded by container id with a
-// mutex per shard, so concurrent Predict/PredictOrGet/FindPrediction calls
-// for different containers proceed in parallel (the parallel fleet replay
-// probes distinct containers from worker threads). Returned pointers stay
-// valid across concurrent inserts (std::map nodes are stable); callers must
-// still ensure nobody Forget()s a container while another thread reads its
-// entry — the fleet only forgets at coordinator barriers. The *model* table
-// has no lock: models are registered before replay starts and read-only
-// afterwards.
+// Not thread-safe: its owner serialises every call (a scheduler or fleet
+// replays on one thread; PlacementController holds its own mutex).
+// References and pointers into the prediction cache stay valid across later
+// inserts (std::map nodes are stable) until Forget() drops that container.
 class ModelRegistry {
  public:
   // Registers a trained model for (machine, vcpus). CHECK-fails on a
@@ -78,22 +71,11 @@ class ModelRegistry {
 
   // Drops the container's cached prediction (no-op when absent).
   void Forget(int container_id);
-  size_t NumCachedPredictions() const;
+  size_t NumCachedPredictions() const { return predictions_.size(); }
 
  private:
-  static constexpr size_t kPredictionShards = 16;
-
-  struct PredictionShard {
-    mutable std::mutex mu;
-    std::map<int, CachedPrediction> entries;
-  };
-
-  PredictionShard& ShardFor(int container_id) const {
-    return predictions_[static_cast<size_t>(container_id) % kPredictionShards];
-  }
-
   std::map<std::pair<std::string, int>, TrainedPerfModel> models_;
-  mutable std::array<PredictionShard, kPredictionShards> predictions_;
+  std::map<int, CachedPrediction> predictions_;
 };
 
 }  // namespace numaplace

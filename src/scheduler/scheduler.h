@@ -129,10 +129,9 @@ class MachineScheduler {
                    std::unique_ptr<SchedulingPolicy> policy);
 
   // Injects a precomputed important-placement set for its vCPU count
-  // (otherwise sets are generated lazily on first use of a size). Const
-  // because previews call it: the lazy fill goes into a mutable cache keyed
-  // per machine, so concurrent previews of *different* machines never touch
-  // the same cache (the parallel replay engine relies on this).
+  // (otherwise sets are generated lazily on first use of a size).
+  // PlacementsFor is const because previews call it: the lazy fill goes into
+  // a mutable per-machine cache.
   void ProvidePlacements(const ImportantPlacementSet& ips);
   const ImportantPlacementSet& PlacementsFor(int vcpus) const;
 
@@ -172,8 +171,7 @@ class MachineScheduler {
   // any observable state (const: only the lazy placement-set cache may fill
   // in). Requires a cached prediction (see EnsureProbes) when the active
   // policy uses the model. Model-free policies report zero predicted/goal
-  // throughput. Safe to call concurrently for *different* machines — the
-  // parallel replay engine batches previews one machine per task.
+  // throughput.
   struct AdmissionPreview {
     bool realizable = false;      // some ranked candidate fits the free threads
     int placement_id = 0;

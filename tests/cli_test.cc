@@ -48,8 +48,19 @@ CliRun RunCli(const std::string& args) {
   return run;
 }
 
+void WriteFile(const std::string& path, const std::string& text) {
+  std::ofstream out(path);
+  out << text;
+}
+
 TEST(CliMisuse, RejectsUnusableInputBeforeTraining) {
   const std::string model_path = ScratchPath("model.txt");
+  const std::string garbage_model = ScratchPath("garbage_model.txt");
+  const std::string empty_model = ScratchPath("empty_model.txt");
+  const std::string tag_only_model = ScratchPath("tag_only_model.txt");
+  WriteFile(garbage_model, "not a model\n1 2 3\n");
+  WriteFile(empty_model, "");
+  WriteFile(tag_only_model, "numaplace-perf-model-v1\n");
   const std::vector<std::string> cases = {
       // Container size out of range for the machine.
       "placements amd 0",
@@ -60,6 +71,16 @@ TEST(CliMisuse, RejectsUnusableInputBeforeTraining) {
       "schedule amd 0 2",
       "schedule amd 999 2",
       "fleet amd,intel 0 2",
+      // Sizes with no balanced spread over the machine's nodes or caches.
+      "placements amd 63",
+      "placements intel 25",
+      "train intel 25 " + model_path,
+      "schedule amd 63 2",
+      "fleet amd 63 2 first-fit",
+      "fleet intel,amd 25 2",
+      // Balanced sizes that no packing of the machine's nodes can hold.
+      "schedule amd 25 2 first-fit",
+      "fleet amd 25 2 first-fit",
       // No machine in the fleet fits the container.
       "fleet zen,zen 64 2",
       // A model is needed but AMD has one important placement at 7 vCPUs.
@@ -70,6 +91,20 @@ TEST(CliMisuse, RejectsUnusableInputBeforeTraining) {
       "fleet amd,intel 16 2 --fail 5@100",
       "fleet amd,intel 16 2 --drain rack:2@100",
       "fleet amd,intel 16 2 --rejoin zone:1@100",
+      // Machine-event times that are not finite.
+      "fleet amd,intel 16 2 --fail 0@nan",
+      "fleet amd,intel 16 2 --fail 0@inf",
+      // Machine events whose machine is in the wrong state when replay
+      // reaches them.
+      "fleet amd,intel 16 2 --rejoin 0@5",
+      "fleet amd,intel 16 2 --fail 0@5 --fail 0@6",
+      "fleet amd,intel 16 2 --drain 0@5 --drain 0@6",
+      "fleet amd,intel 16 2 --fail 0@5 --drain 0@6",
+      "fleet amd,intel 16 2 --fail rack:0@5 --rejoin 0@6 --rejoin 0@7",
+      // Model files that do not parse.
+      "predict " + garbage_model + " 1 2",
+      "predict " + empty_model + " 1 2",
+      "predict " + tag_only_model + " 1 2",
   };
   for (const std::string& args : cases) {
     SCOPED_TRACE(args);
@@ -81,6 +116,9 @@ TEST(CliMisuse, RejectsUnusableInputBeforeTraining) {
     EXPECT_EQ(run.out.find("training a model"), std::string::npos) << run.out;
   }
   EXPECT_FALSE(std::ifstream(model_path).good()) << "a rejected train wrote its file";
+  for (const std::string& path : {garbage_model, empty_model, tag_only_model}) {
+    std::remove(path.c_str());
+  }
 }
 
 TEST(CliMisuse, ValidInputStillRuns) {

@@ -323,8 +323,7 @@ TEST(FleetDispatch, BestPredictedPaysProbesOncePerTopologyGroup) {
 
 TEST(FleetDispatch, SameInstantSubmissionsOnTwinMachinesHitTheSharedProbeCache) {
   // Two same-topology machines previewing two arrivals in one instant all
-  // read and write one shard-locked ModelRegistry prediction cache — the
-  // sharing pattern the parallel replay runs from worker threads. Each
+  // read and write their group's one ModelRegistry prediction cache. Each
   // container pays its probe pair exactly once, fleet-wide; every preview
   // beyond the first is a cache hit.
   FleetConfig config;

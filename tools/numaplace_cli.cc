@@ -25,7 +25,6 @@
 //         [--admission <name>] [--tiers <group>=<tier>[,...]]
 //         [--defer-limit <n>] [--flash-crowd] [--bursts <B>]
 //         [--burst-containers <n>]
-//         [--threads <N>]
 //         [--json <path>] [--trace-out <path>] [--metrics-out <path>]
 //         [--metrics-interval <seconds>]
 //                                     build a fleet from a comma-separated
@@ -56,10 +55,7 @@
 //                                     wait pool) and --flash-crowd swaps in
 //                                     the diurnal + burst overload trace
 //                                     (--bursts/--burst-containers shape
-//                                     the spikes). --threads replays on a
-//                                     worker pool (default 1 = serial;
-//                                     every artifact stays byte-identical).
-//                                     --json writes
+//                                     the spikes). --json writes
 //                                     the run's tables as JSON;
 //                                     --trace-out/--metrics-out/
 //                                     --metrics-interval attach the
@@ -70,6 +66,7 @@
 // Machines: amd (Opteron 6272), intel (Xeon E7-4830 v3), zen, cod.
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -82,8 +79,8 @@
 #include "src/cluster/admission.h"
 #include "src/cluster/dispatch.h"
 #include "src/cluster/fleet.h"
-#include "src/cluster/parallel.h"
 #include "src/core/concern.h"
+#include "src/core/enumerate.h"
 #include "src/core/important.h"
 #include "src/migration/migration.h"
 #include "src/model/pipeline.h"
@@ -124,8 +121,9 @@ Topology MakeMachine(const std::string& name) {
   std::exit(2);
 }
 
-// Rejects a container size the machine cannot hold: prints one line and
-// returns false.
+// Rejects a container size the machine cannot hold, or cannot spread
+// evenly over its nodes, L3 groups or L2 groups (GenerateImportantPlacements
+// needs a balanced score for each): prints one line and returns false.
 bool CheckVcpus(const Topology& machine, int vcpus) {
   if (vcpus <= 0) {
     std::fprintf(stderr, "the vCPU count must be positive, got %d\n", vcpus);
@@ -136,18 +134,41 @@ bool CheckVcpus(const Topology& machine, int vcpus) {
                  machine.NumHwThreads(), machine.name().c_str());
     return false;
   }
+  const struct {
+    const char* unit;
+    int count;
+    int capacity;
+  } levels[] = {{"NUMA nodes", machine.num_nodes(), machine.NodeCapacity()},
+                {"L3 groups", machine.NumL3Groups(), machine.L3GroupCapacity()},
+                {"L2 groups", machine.NumL2Groups(), machine.L2GroupCapacity()}};
+  for (const auto& level : levels) {
+    if (GenerateScores(vcpus, level.count, level.capacity).empty()) {
+      std::fprintf(stderr,
+                   "%d vCPUs cannot be spread evenly over the %d %s (%d hardware threads "
+                   "each) of %s\n",
+                   vcpus, level.count, level.unit, level.capacity, machine.name().c_str());
+      return false;
+    }
+  }
   return true;
 }
 
-// Rejects a placement set the probe-pair search cannot train on (it probes
-// two distinct placements): prints one line and returns false. Runs before
-// any training starts.
-bool CheckTrainable(const ImportantPlacementSet& set, const std::string& machine) {
-  if (set.placements.size() < 2) {
+// Rejects a placement set nothing can be placed from (a balanced size whose
+// node counts pack no machine) or, when `needs_model`, that the probe-pair
+// search cannot train on (it probes two distinct placements): prints one
+// line and returns false. Runs before any training starts.
+bool CheckPlacements(const ImportantPlacementSet& set, const std::string& machine,
+                     bool needs_model) {
+  if (needs_model && set.placements.size() < 2) {
     std::fprintf(stderr,
                  "cannot train a model for %s at %d vCPUs: it has %zu important "
                  "placement(s), and the model probes two\n",
                  machine.c_str(), set.vcpus, set.placements.size());
+    return false;
+  }
+  if (set.placements.empty()) {
+    std::fprintf(stderr, "%s has no important placement at %d vCPUs\n", machine.c_str(),
+                 set.vcpus);
     return false;
   }
   return true;
@@ -189,7 +210,7 @@ int CmdTrain(const std::string& machine_name, int vcpus, const std::string& path
   }
   const bool use_ic = InterconnectIsAsymmetric(machine);
   const ImportantPlacementSet set = GenerateImportantPlacements(machine, vcpus, use_ic);
-  if (!CheckTrainable(set, machine.name())) {
+  if (!CheckPlacements(set, machine.name(), /*needs_model=*/true)) {
     return 2;
   }
   const int baseline_id = machine_name == "intel" ? 2 : 1;
@@ -218,7 +239,13 @@ int CmdPredict(const std::string& path, double perf_a, double perf_b) {
     std::fprintf(stderr, "cannot read %s\n", path.c_str());
     return 1;
   }
-  const TrainedPerfModel model = TrainedPerfModel::LoadText(in);
+  TrainedPerfModel model;
+  try {
+    model = TrainedPerfModel::LoadText(in);
+  } catch (const std::exception&) {
+    std::fprintf(stderr, "%s is not a readable numaplace model file\n", path.c_str());
+    return 2;
+  }
   const std::vector<double> predicted = model.Predict(perf_a, perf_b);
   std::printf("probe placements: #%d (%.6g) and #%d (%.6g)\n", model.input_a, perf_a,
               model.input_b, perf_b);
@@ -301,7 +328,7 @@ int CmdSchedule(const std::string& machine_name, int vcpus, int num_containers,
   const bool use_ic = InterconnectIsAsymmetric(machine);
   const ImportantPlacementSet set = GenerateImportantPlacements(machine, vcpus, use_ic);
   std::unique_ptr<SchedulingPolicy> policy = MakePolicy(policy_name);
-  if (policy->UsesModel() && !CheckTrainable(set, machine.name())) {
+  if (!CheckPlacements(set, machine.name(), policy->UsesModel())) {
     return 2;
   }
   const int baseline_id = machine_name == "intel" ? 2 : 1;
@@ -451,7 +478,7 @@ int CmdFleet(const std::string& machines_csv, int vcpus, int containers_per_stre
              const std::vector<FleetEvent>& machine_events, int sharded_cells,
              int sharded_probes, bool full_scan_ops, int fleet_probes,
              int domain_racks, int domain_zones, double spread_weight,
-             int spread_cap, int threads, const FleetAdmissionOptions& admission,
+             int spread_cap, const FleetAdmissionOptions& admission,
              const FleetOutputOptions& output) {
   if (containers_per_stream <= 0) {
     std::fprintf(stderr, "need at least one container per machine stream\n");
@@ -540,15 +567,49 @@ int CmdFleet(const std::string& machines_csv, int vcpus, int containers_per_stre
     dispatch = MakeDispatchPolicy(dispatch_name);
   }
   FleetScheduler fleet(std::move(specs), fleet_config, std::move(dispatch));
+  const auto flag_of = [](const FleetEvent& event) {
+    return event.kind() == FleetEventKind::kMachineFail    ? "fail"
+           : event.kind() == FleetEventKind::kMachineDrain ? "drain"
+                                                           : "rejoin";
+  };
   for (const FleetEvent& event : machine_events) {
     const DomainScope scope = event.domain_scope();
     if (event.machine_id() >= fleet.domains().NumDomains(scope)) {
-      const char* flag = event.kind() == FleetEventKind::kMachineFail    ? "fail"
-                         : event.kind() == FleetEventKind::kMachineDrain ? "drain"
-                                                                         : "rejoin";
-      std::fprintf(stderr, "--%s targets %s %d, but the fleet has %ss 0..%d\n", flag,
-                   ToString(scope), event.machine_id(), ToString(scope),
+      std::fprintf(stderr, "--%s targets %s %d, but the fleet has %ss 0..%d\n",
+                   flag_of(event), ToString(scope), event.machine_id(), ToString(scope),
                    fleet.domains().NumDomains(scope) - 1);
+      return 2;
+    }
+  }
+  // Walk the per-machine events in the order replay applies them (injecting
+  // them into an empty stream yields that order) and reject the first one
+  // whose machine is in the wrong state for it: the preconditions of
+  // FleetScheduler::Fail, Drain and Rejoin.
+  std::vector<MachineAvailability> availability(machine_names.size(),
+                                                MachineAvailability::kUp);
+  for (const FleetEvent& event :
+       InjectMachineEvents(EventStream(), machine_events, fleet.domains())) {
+    MachineAvailability& state = availability[static_cast<size_t>(event.machine_id())];
+    const MachineAvailability before = state;
+    bool allowed = false;
+    switch (event.kind()) {
+      case FleetEventKind::kMachineFail:
+        allowed = before != MachineAvailability::kFailed;
+        state = MachineAvailability::kFailed;
+        break;
+      case FleetEventKind::kMachineDrain:
+        allowed = before == MachineAvailability::kUp;
+        state = MachineAvailability::kDraining;
+        break;
+      default:
+        allowed = before != MachineAvailability::kUp;
+        state = MachineAvailability::kUp;
+        break;
+    }
+    if (!allowed) {
+      std::fprintf(stderr, "--%s at t=%g: machine %d is %s then, so it cannot %s\n",
+                   flag_of(event), event.time_seconds, event.machine_id(),
+                   ToString(before), flag_of(event));
       return 2;
     }
   }
@@ -565,6 +626,12 @@ int CmdFleet(const std::string& machines_csv, int vcpus, int containers_per_stre
     std::fprintf(stderr, "group '%s' has no machine\n", group.c_str());
     std::exit(1);
   };
+  for (const std::string& group : fleet.GroupNames()) {
+    const Topology topo = topology_of(group);
+    if (topo.NumHwThreads() >= vcpus && !CheckVcpus(topo, vcpus)) {
+      return 2;
+    }
+  }
   std::map<std::string, ImportantPlacementSet> placements_of_group;
   for (const std::string& group : fleet.GroupNames()) {
     const Topology topo = topology_of(group);
@@ -573,7 +640,7 @@ int CmdFleet(const std::string& machines_csv, int vcpus, int containers_per_stre
     }
     ImportantPlacementSet set =
         GenerateImportantPlacements(topo, vcpus, InterconnectIsAsymmetric(topo));
-    if (uses_model && !CheckTrainable(set, group)) {
+    if (!CheckPlacements(set, group, uses_model)) {
       return 2;
     }
     placements_of_group.emplace(group, std::move(set));
@@ -700,17 +767,7 @@ int CmdFleet(const std::string& machines_csv, int vcpus, int containers_per_stre
     }
   }
 
-  // --threads 1 (the default) takes exactly the serial replay path; 2+
-  // drives the same fleet through the parallel engine, whose merge stage
-  // keeps every artifact (tables, --json, --trace-out, --metrics-out)
-  // byte-identical to the serial run.
-  FleetReport report;
-  if (threads > 1) {
-    ParallelReplayEngine engine(&fleet, ParallelReplayConfig{threads});
-    report = engine.ReplayWithEvaluation(trace, observer, snapshots.get());
-  } else {
-    report = fleet.ReplayWithEvaluation(trace, observer, snapshots.get());
-  }
+  const FleetReport report = fleet.ReplayWithEvaluation(trace, observer, snapshots.get());
   if (spans != nullptr) {
     spans->Finish(trace.EndTime());
   }
@@ -1024,7 +1081,8 @@ int CmdFleet(const std::string& machines_csv, int vcpus, int containers_per_stre
 
 // Parses a machine-event spec: bare "<machine>@<seconds>" (e.g. --fail
 // 1@900) or domain-scoped "rack:<R>@<seconds>" / "zone:<Z>@<seconds>"
-// (e.g. --fail rack:3@900 — every machine of rack 3 fails at t=900).
+// (e.g. --fail rack:3@900 — every machine of rack 3 fails at t=900). The
+// time must be finite and non-negative.
 bool ParseMachineEventSpec(const char* spec, DomainScope* scope, int* index,
                            double* time_seconds) {
   *scope = DomainScope::kMachine;
@@ -1045,7 +1103,7 @@ bool ParseMachineEventSpec(const char* spec, DomainScope* scope, int* index,
     return false;
   }
   const double time = std::strtod(at + 1, &end);
-  if (*end != '\0' || time < 0.0) {
+  if (*end != '\0' || !std::isfinite(time) || time < 0.0) {
     return false;
   }
   *index = static_cast<int>(parsed);
@@ -1113,8 +1171,6 @@ void Usage() {
                "trace\n"
                "                [--bursts <B>] [--burst-containers <n>]  spike "
                "shape\n"
-               "                [--threads <N>]           parallel replay workers "
-               "(1 = serial; artifacts identical)\n"
                "                [--json <path>]           write the run's tables as "
                "JSON\n"
                "                [--trace-out <path>]      Chrome trace-event spans "
@@ -1200,7 +1256,6 @@ int main(int argc, char** argv) {
       int domain_zones = 0;
       double spread_weight = 0.0;
       int spread_cap = 0;
-      int threads = 1;
       FleetAdmissionOptions admission;
       FleetOutputOptions output;
       bool have_seed = false;
@@ -1334,18 +1389,6 @@ int main(int argc, char** argv) {
           spread_weight = parsed;
           continue;
         }
-        if (std::strcmp(argv[i], "--threads") == 0) {
-          char* end = nullptr;
-          const long parsed = i + 1 < argc ? std::strtol(argv[i + 1], &end, 10) : 0;
-          if (i + 1 >= argc || end == argv[i + 1] || *end != '\0' || parsed < 1 ||
-              parsed > 256) {
-            std::fprintf(stderr, "--threads needs a worker count in [1, 256]\n");
-            return 2;
-          }
-          ++i;
-          threads = static_cast<int>(parsed);
-          continue;
-        }
         const bool is_fail = std::strcmp(argv[i], "--fail") == 0;
         const bool is_drain = std::strcmp(argv[i], "--drain") == 0;
         const bool is_rejoin = std::strcmp(argv[i], "--rejoin") == 0;
@@ -1424,7 +1467,7 @@ int main(int argc, char** argv) {
       return CmdFleet(argv[2], std::atoi(argv[3]), std::atoi(argv[4]), seed, dispatch,
                       policy, machine_events, sharded_cells, sharded_probes,
                       full_scan_ops, fleet_probes, domain_racks, domain_zones,
-                      spread_weight, spread_cap, threads, admission, output);
+                      spread_weight, spread_cap, admission, output);
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
