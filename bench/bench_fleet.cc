@@ -79,10 +79,12 @@
 // baseline) value, and a best-effort rejection rate strictly above
 // premium's — the shedding lands on the tier built to absorb it.
 //
-// Every head-to-head and sweep run replays through a telemetry
-// MetricsObserver, so each JSON row additionally carries percentile digests
-// (count/p50/p95/p99/max) of the queue-wait and evacuation-latency
-// histograms next to the existing means.
+// The head-to-head, failure-scenario and sharded-dispatch runs replay
+// through RunOne, which attaches a telemetry MetricsObserver, so their JSON
+// rows ("results", "failure_scenarios", "sharded_sweep") additionally carry
+// percentile digests (count/p50/p95/p99/max) of the queue-wait and
+// evacuation-latency histograms next to the existing means. The fleet-ops,
+// rack-loss and admission-frontier rows carry no digests.
 //
 // Flags:
 //   --smoke        tiny trace + small forests (CI Release-mode exercise)

@@ -1004,23 +1004,24 @@ void FleetScheduler::RebalancePass(double now, EventObserver* observer) {
     int id = 0;
     int from = 0;
     bool queued = false;
+    double submit_time = 0.0;  // the sort key of a queued mover
   };
   // Queued containers first (oldest submission first, fleet-wide — the FIFO
   // the per-machine queues honor locally), then degraded incumbents.
   std::vector<Mover> movers;
   for (int m = 0; m < NumMachines(); ++m) {
     for (int id : machines_[static_cast<size_t>(m)].scheduler->PendingIds()) {
-      movers.push_back({id, m, true});
+      movers.push_back({id, m, true, submit_time_.at(id)});
     }
   }
-  std::stable_sort(movers.begin(), movers.end(), [&](const Mover& a, const Mover& b) {
-    return submit_time_.at(a.id) < submit_time_.at(b.id);
+  std::stable_sort(movers.begin(), movers.end(), [](const Mover& a, const Mover& b) {
+    return a.submit_time < b.submit_time;
   });
   for (int m = 0; m < NumMachines(); ++m) {
     for (int id : machines_[static_cast<size_t>(m)].scheduler->RunningIds()) {
       const ManagedContainer* c = machines_[static_cast<size_t>(m)].scheduler->Find(id);
       if (!c->meets_goal && c->predicted_abs_throughput > 0.0) {
-        movers.push_back({id, m, false});
+        movers.push_back({id, m, false, 0.0});
       }
     }
   }

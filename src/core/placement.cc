@@ -10,13 +10,17 @@ namespace numaplace {
 
 namespace {
 
+// The distinct ids `mapper` gives the threads, ascending.
 std::vector<int> DistinctMapped(const std::vector<int>& hw_threads, const Topology& topo,
                                 int (Topology::*mapper)(int) const) {
-  std::set<int> distinct;
+  std::vector<int> distinct;
+  distinct.reserve(hw_threads.size());
   for (int t : hw_threads) {
-    distinct.insert((topo.*mapper)(t));
+    distinct.push_back((topo.*mapper)(t));
   }
-  return {distinct.begin(), distinct.end()};
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
+  return distinct;
 }
 
 }  // namespace
@@ -43,19 +47,15 @@ bool Placement::IsOneVcpuPerHwThread() const {
 }
 
 double Placement::MeanPairwiseLatencyNs(const Topology& topo) const {
-  const size_t n = hw_threads.size();
-  if (n < 2) {
+  if (hw_threads.size() < 2) {
     return 0.0;
   }
-  double total = 0.0;
-  size_t pairs = 0;
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      total += topo.CommunicationLatencyNs(hw_threads[i], hw_threads[j]);
-      ++pairs;
-    }
+  std::vector<ThreadLocation> where;
+  where.reserve(hw_threads.size());
+  for (int t : hw_threads) {
+    where.push_back(topo.LocationOf(t));
   }
-  return total / static_cast<double>(pairs);
+  return topo.MeanPairwiseLatencyNs(where);
 }
 
 std::string Placement::ToString() const {

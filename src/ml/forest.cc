@@ -16,6 +16,7 @@ void RandomForest::Fit(const Dataset& data, const ForestParams& params) {
   NP_CHECK(data.NumSamples() >= 1);
   trees_.clear();
   in_bag_.clear();
+  num_features_ = data.NumFeatures();
   num_targets_ = data.NumTargets();
 
   TreeParams tree_params = params.tree;
@@ -48,9 +49,9 @@ std::vector<double> RandomForest::Predict(std::span<const double> features) cons
   NP_CHECK_MSG(IsFitted(), "Predict called before Fit");
   std::vector<double> acc(num_targets_, 0.0);
   for (const RegressionTree& tree : trees_) {
-    const std::vector<double> p = tree.Predict(features);
+    const std::span<const double> leaf = tree.LeafValues(features);
     for (size_t k = 0; k < acc.size(); ++k) {
-      acc[k] += p[k];
+      acc[k] += leaf[k];
     }
   }
   for (double& v : acc) {
@@ -77,7 +78,14 @@ void RandomForest::DeserializeFrom(std::istream& is) {
   in_bag_.clear();  // not persisted; OOB unavailable after a load
   for (RegressionTree& tree : trees_) {
     tree.DeserializeFrom(is);
+    NP_CHECK_MSG(tree.NumTargets() == num_targets_,
+                 "tree leaves of width " << tree.NumTargets() << " in a forest of "
+                                         << num_targets_ << " targets");
+    NP_CHECK_MSG(tree.NumFeatures() == trees_[0].NumFeatures(),
+                 "trees of " << trees_[0].NumFeatures() << " and " << tree.NumFeatures()
+                             << " features in one forest");
   }
+  num_features_ = trees_[0].NumFeatures();
 }
 
 double RandomForest::OutOfBagMae(const Dataset& data) const {
@@ -96,9 +104,9 @@ double RandomForest::OutOfBagMae(const Dataset& data) const {
       if (i < in_bag_[t].size() && in_bag_[t][i]) {
         continue;
       }
-      const std::vector<double> p = trees_[t].Predict(data.features[i]);
+      const std::span<const double> leaf = trees_[t].LeafValues(data.features[i]);
       for (size_t k = 0; k < acc.size(); ++k) {
-        acc[k] += p[k];
+        acc[k] += leaf[k];
       }
       ++voters;
     }

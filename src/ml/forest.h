@@ -46,9 +46,13 @@ class RandomForest {
 
   bool IsFitted() const { return !trees_.empty(); }
   size_t NumTrees() const { return trees_.size(); }
+  size_t NumFeatures() const { return num_features_; }
+  size_t NumTargets() const { return num_targets_; }
 
   // Plain-text (de)serialization. Bootstrap bookkeeping is not persisted, so
   // OutOfBagMae is unavailable on a loaded forest; Predict works normally.
+  // Loading throws std::logic_error when a tree's leaf width differs from
+  // the header's target count or the trees disagree on the feature count.
   void SerializeTo(std::ostream& os) const;
   void DeserializeFrom(std::istream& is);
 
@@ -56,6 +60,7 @@ class RandomForest {
   std::vector<RegressionTree> trees_;
   // Per tree, per training row: drawn into the bootstrap sample (for OOB).
   std::vector<std::vector<bool>> in_bag_;
+  size_t num_features_ = 0;
   size_t num_targets_ = 0;
 };
 

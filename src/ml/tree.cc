@@ -12,9 +12,12 @@ namespace numaplace {
 
 namespace {
 
-// Mean target vector of a row range.
-std::vector<double> MeanTargets(const Dataset& data, std::span<const size_t> rows) {
-  std::vector<double> mean(data.NumTargets(), 0.0);
+// Appends the mean target vector of a row range to `out`.
+void AppendMeanTargets(const Dataset& data, std::span<const size_t> rows,
+                       std::vector<double>* out) {
+  const size_t first = out->size();
+  out->resize(first + data.NumTargets(), 0.0);
+  const std::span<double> mean(out->data() + first, data.NumTargets());
   for (size_t row : rows) {
     for (size_t k = 0; k < mean.size(); ++k) {
       mean[k] += data.targets[row][k];
@@ -23,7 +26,6 @@ std::vector<double> MeanTargets(const Dataset& data, std::span<const size_t> row
   for (double& v : mean) {
     v /= static_cast<double>(rows.size());
   }
-  return mean;
 }
 
 struct SplitCandidate {
@@ -44,7 +46,9 @@ void RegressionTree::Fit(const Dataset& data, std::span<const size_t> rows,
   NP_CHECK(params.min_samples_leaf >= 1);
   NP_CHECK(params.min_samples_split >= 2);
   nodes_.clear();
+  leaf_values_.clear();
   num_features_ = data.NumFeatures();
+  num_targets_ = data.NumTargets();
   std::vector<size_t> work(rows.begin(), rows.end());
   BuildNode(data, work, 0, work.size(), /*depth=*/0, params, rng);
 }
@@ -63,8 +67,8 @@ int RegressionTree::BuildNode(const Dataset& data, std::vector<size_t>& rows, si
   nodes_.emplace_back();
 
   auto make_leaf = [&]() {
-    nodes_[static_cast<size_t>(node_index)].value =
-        MeanTargets(data, std::span<const size_t>(rows.data() + begin, n));
+    nodes_[static_cast<size_t>(node_index)].leaf = static_cast<int>(leaf_values_.size() / m);
+    AppendMeanTargets(data, std::span<const size_t>(rows.data() + begin, n), &leaf_values_);
     return node_index;
   };
 
@@ -169,15 +173,20 @@ int RegressionTree::BuildNode(const Dataset& data, std::vector<size_t>& rows, si
 }
 
 std::vector<double> RegressionTree::Predict(std::span<const double> features) const {
+  const std::span<const double> leaf = LeafValues(features);
+  return {leaf.begin(), leaf.end()};
+}
+
+std::span<const double> RegressionTree::LeafValues(std::span<const double> features) const {
   NP_CHECK_MSG(IsFitted(), "Predict called before Fit");
   NP_CHECK(features.size() == num_features_);
-  int index = 0;
-  while (nodes_[static_cast<size_t>(index)].left >= 0) {
-    const Node& node = nodes_[static_cast<size_t>(index)];
-    index = features[static_cast<size_t>(node.feature)] <= node.threshold ? node.left
-                                                                          : node.right;
+  const Node* node = &nodes_[0];
+  while (node->left >= 0) {
+    node = &nodes_[static_cast<size_t>(
+        features[static_cast<size_t>(node->feature)] <= node->threshold ? node->left
+                                                                         : node->right)];
   }
-  return nodes_[static_cast<size_t>(index)].value;
+  return {leaf_values_.data() + static_cast<size_t>(node->leaf) * num_targets_, num_targets_};
 }
 
 void RegressionTree::SerializeTo(std::ostream& os) const {
@@ -186,10 +195,14 @@ void RegressionTree::SerializeTo(std::ostream& os) const {
   // Full round-trip precision on thresholds and leaf values.
   const auto previous_precision = os.precision(17);
   for (const Node& node : nodes_) {
-    os << node.feature << " " << node.threshold << " " << node.left << " " << node.right
-       << " " << node.value.size();
-    for (double v : node.value) {
-      os << " " << v;
+    os << node.feature << " " << node.threshold << " " << node.left << " " << node.right;
+    if (node.left >= 0) {
+      os << " 0\n";
+      continue;
+    }
+    os << " " << num_targets_;
+    for (size_t k = 0; k < num_targets_; ++k) {
+      os << " " << leaf_values_[static_cast<size_t>(node.leaf) * num_targets_ + k];
     }
     os << "\n";
   }
@@ -203,25 +216,40 @@ void RegressionTree::DeserializeFrom(std::istream& is) {
   NP_CHECK_MSG(is.good() && tag == "tree", "malformed tree header");
   NP_CHECK(num_nodes >= 1);
   nodes_.assign(num_nodes, Node{});
-  for (Node& node : nodes_) {
+  leaf_values_.clear();
+  num_targets_ = 0;
+  int num_leaves = 0;
+  for (size_t i = 0; i < num_nodes; ++i) {
+    Node& node = nodes_[i];
     size_t value_count = 0;
     is >> node.feature >> node.threshold >> node.left >> node.right >> value_count;
     NP_CHECK_MSG(is.good(), "truncated tree node");
-    node.value.resize(value_count);
-    for (double& v : node.value) {
+    // Structural validation: children after their parent and in range, so
+    // every walk ends at a leaf; leaves alone carry values, all of one width.
+    const auto index = static_cast<int>(i);
+    NP_CHECK(node.left == -1 || (node.left > index && node.left < static_cast<int>(num_nodes)));
+    NP_CHECK(node.right == -1 ||
+             (node.right > index && node.right < static_cast<int>(num_nodes)));
+    NP_CHECK((node.left == -1) == (node.right == -1));
+    if (node.left != -1) {
+      NP_CHECK(node.feature >= 0 && node.feature < static_cast<int>(num_features_));
+      NP_CHECK_MSG(value_count == 0, "internal tree node with leaf values");
+      continue;
+    }
+    NP_CHECK_MSG(value_count > 0, "leaf without values");
+    if (num_leaves == 0) {
+      num_targets_ = value_count;
+    }
+    NP_CHECK_MSG(value_count == num_targets_, "tree leaves of widths " << num_targets_
+                                                                         << " and "
+                                                                         << value_count);
+    node.leaf = num_leaves++;
+    for (size_t k = 0; k < value_count; ++k) {
+      double v = 0.0;
       is >> v;
+      leaf_values_.push_back(v);
     }
     NP_CHECK_MSG(!is.fail(), "truncated tree leaf values");
-    // Structural validation: children in range, leaves have values.
-    NP_CHECK(node.left == -1 || (node.left > 0 && node.left < static_cast<int>(num_nodes)));
-    NP_CHECK(node.right == -1 ||
-             (node.right > 0 && node.right < static_cast<int>(num_nodes)));
-    NP_CHECK((node.left == -1) == (node.right == -1));
-    if (node.left == -1) {
-      NP_CHECK_MSG(!node.value.empty(), "leaf without values");
-    } else {
-      NP_CHECK(node.feature >= 0 && node.feature < static_cast<int>(num_features_));
-    }
   }
 }
 

@@ -37,33 +37,45 @@ class RegressionTree {
 
   // Predicts the target vector for one feature row.
   std::vector<double> Predict(std::span<const double> features) const;
+  // The same prediction read in place: the reached leaf's values, valid
+  // until the tree is refitted or reloaded.
+  std::span<const double> LeafValues(std::span<const double> features) const;
 
   bool IsFitted() const { return !nodes_.empty(); }
   size_t NumNodes() const { return nodes_.size(); }
+  size_t NumFeatures() const { return num_features_; }
+  // Width of every leaf's value vector.
+  size_t NumTargets() const { return num_targets_; }
   int Depth() const;
 
   // Plain-text (de)serialization, for shipping trained models from an
   // offline training run into a scheduler. The format is line-oriented and
-  // versioned by the caller (RandomForest / model-level headers).
+  // versioned by the caller (RandomForest / model-level headers). Loading
+  // throws std::logic_error on a malformed tree, including one whose leaves
+  // differ in width or whose child links do not point forward.
   void SerializeTo(std::ostream& os) const;
   void DeserializeFrom(std::istream& is);
 
  private:
   struct Node {
-    // Internal nodes: feature/threshold valid, children set.
-    // Leaves: left == -1, value holds the mean target vector.
-    int feature = -1;
+    // Internal nodes: feature/threshold valid, children set (both after
+    // the node itself, in preorder).
+    // Leaves: left == right == -1; `leaf` is the leaf's row of leaf_values_.
     double threshold = 0.0;
+    int feature = -1;
     int left = -1;
     int right = -1;
-    std::vector<double> value;
+    int leaf = -1;
   };
 
   int BuildNode(const Dataset& data, std::vector<size_t>& rows, size_t begin, size_t end,
                 int depth, const TreeParams& params, Rng& rng);
 
   std::vector<Node> nodes_;
+  // Each leaf's mean target vector, num_targets_ values per leaf.
+  std::vector<double> leaf_values_;
   size_t num_features_ = 0;
+  size_t num_targets_ = 0;
 };
 
 }  // namespace numaplace

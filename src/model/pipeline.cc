@@ -49,6 +49,8 @@ void CheckUniqueWorkloadNames(const std::vector<WorkloadProfile>& workloads) {
 std::vector<double> PerfFeatures(double perf_in_a, double perf_in_b, double ipc_scale) {
   return {perf_in_a * ipc_scale, perf_in_b * ipc_scale, perf_in_b / perf_in_a};
 }
+// The width of that row, so the feature count of every performance model.
+constexpr size_t kPerfFeatureCount = 3;
 
 }  // namespace
 
@@ -91,6 +93,12 @@ TrainedPerfModel TrainedPerfModel::LoadText(std::istream& is) {
   NP_CHECK_MSG(!is.fail(), "truncated placement-id list");
   NP_CHECK_MSG(model.ipc_scale > 0.0, "non-positive ipc scale");
   model.forest.DeserializeFrom(is);
+  NP_CHECK_MSG(model.forest.NumFeatures() == kPerfFeatureCount,
+               "a forest of " << model.forest.NumFeatures() << " features, not "
+                              << kPerfFeatureCount);
+  NP_CHECK_MSG(model.placement_ids.size() == model.forest.NumTargets(),
+               model.placement_ids.size() << " placement ids for "
+                                          << model.forest.NumTargets() << " targets");
   return model;
 }
 

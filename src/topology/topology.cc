@@ -98,6 +98,12 @@ int Topology::SmtSiblingIndexOf(int hw_thread) const {
   return hw_thread % smt_per_core_;
 }
 
+ThreadLocation Topology::LocationOf(int hw_thread) const {
+  const int core = CoreOf(hw_thread);
+  return {hw_thread, core, core / cores_per_l2_group_, core / cores_per_l3_group_,
+          core / cores_per_node_};
+}
+
 std::vector<int> Topology::HwThreadsOnNode(int node) const {
   NP_CHECK(node >= 0 && node < num_nodes_);
   return ContiguousRange(node * NodeCapacity(), NodeCapacity());
@@ -149,25 +155,44 @@ double Topology::AggregateBandwidth(std::span<const int> nodes) const {
 }
 
 double Topology::CommunicationLatencyNs(int hw_thread_a, int hw_thread_b) const {
-  if (hw_thread_a == hw_thread_b) {
+  return CommunicationLatencyNs(LocationOf(hw_thread_a), LocationOf(hw_thread_b));
+}
+
+double Topology::CommunicationLatencyNs(const ThreadLocation& a,
+                                        const ThreadLocation& b) const {
+  if (a.hw_thread == b.hw_thread) {
     return 0.0;
   }
-  if (CoreOf(hw_thread_a) == CoreOf(hw_thread_b)) {
+  if (a.core == b.core) {
     return perf_.lat_same_core_ns;
   }
-  if (L2GroupOf(hw_thread_a) == L2GroupOf(hw_thread_b)) {
+  if (a.l2_group == b.l2_group) {
     return perf_.lat_same_l2_ns;
   }
-  if (L3GroupOf(hw_thread_a) == L3GroupOf(hw_thread_b)) {
+  if (a.l3_group == b.l3_group) {
     return perf_.lat_same_l3_ns > 0.0 ? perf_.lat_same_l3_ns : perf_.lat_same_node_ns;
   }
-  const int node_a = NodeOf(hw_thread_a);
-  const int node_b = NodeOf(hw_thread_b);
-  if (node_a == node_b) {
+  if (a.node == b.node) {
     return perf_.lat_same_node_ns;
   }
-  const int hops = HopDistance(node_a, node_b);
+  const int hops = hop_[static_cast<size_t>(a.node) * num_nodes_ + b.node];
   return perf_.lat_one_hop_ns + perf_.lat_extra_hop_ns * static_cast<double>(hops - 1);
+}
+
+double Topology::MeanPairwiseLatencyNs(std::span<const ThreadLocation> threads) const {
+  const size_t n = threads.size();
+  if (n < 2) {
+    return 0.0;
+  }
+  double total = 0.0;
+  size_t pairs = 0;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      total += CommunicationLatencyNs(threads[i], threads[j]);
+      ++pairs;
+    }
+  }
+  return total / static_cast<double>(pairs);
 }
 
 }  // namespace numaplace

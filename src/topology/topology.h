@@ -58,6 +58,16 @@ struct PerfParams {
   double base_ops_per_thread = 100000.0;
 };
 
+// Where one hardware thread sits in the hierarchy. Resolving it once lets a
+// caller that compares many threads pairwise skip the per-lookup range check.
+struct ThreadLocation {
+  int hw_thread = 0;
+  int core = 0;
+  int l2_group = 0;
+  int l3_group = 0;
+  int node = 0;
+};
+
 class Topology {
  public:
   // `cores_per_l2_group` must divide `cores_per_l3_group`, which must divide
@@ -101,6 +111,8 @@ class Topology {
   int L2GroupOf(int hw_thread) const;
   int L3GroupOf(int hw_thread) const;
   int SmtSiblingIndexOf(int hw_thread) const;
+  // The thread's core, L2 group, L3 group and node, with one range check.
+  ThreadLocation LocationOf(int hw_thread) const;
 
   // All hardware thread ids on the given node, ascending.
   std::vector<int> HwThreadsOnNode(int node) const;
@@ -129,8 +141,14 @@ class Topology {
   // Cross-thread communication latency between two hardware threads (ns),
   // derived from their topological relationship.
   double CommunicationLatencyNs(int hw_thread_a, int hw_thread_b) const;
+  // Mean of the same latency over every pair i < j of locations from
+  // LocationOf, summed in (i, j) order; 0 for fewer than two threads.
+  double MeanPairwiseLatencyNs(std::span<const ThreadLocation> threads) const;
 
  private:
+  // The latency rule both of the above apply, on locations from LocationOf.
+  double CommunicationLatencyNs(const ThreadLocation& a, const ThreadLocation& b) const;
+
   std::string name_;
   int num_nodes_;
   int cores_per_node_;

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -53,6 +54,72 @@ void WriteFile(const std::string& path, const std::string& text) {
   out << text;
 }
 
+// Applies `edit` to each line of `text` (line index, line) and rejoins them.
+std::string EditLines(const std::string& text,
+                      const std::function<std::string(size_t, const std::string&)>& edit) {
+  std::istringstream in(text);
+  std::string out;
+  std::string line;
+  for (size_t index = 0; std::getline(in, line); ++index) {
+    out += edit(index, line) + "\n";
+  }
+  return out;
+}
+
+// Shape edits of a saved model (numaplace-perf-model-v1: tag, inputs,
+// scale, placement ids, forest header, then trees). Each parses.
+std::string DropLastPlacementId(const std::string& model) {
+  return EditLines(model, [](size_t index, const std::string& line) {
+    if (index != 3) {
+      return line;
+    }
+    std::istringstream ids(line);
+    size_t count = 0;
+    ids >> count;
+    std::string out = std::to_string(count - 1);
+    for (size_t i = 0; i + 1 < count; ++i) {
+      int id = 0;
+      ids >> id;
+      out += " " + std::to_string(id);
+    }
+    return out;
+  });
+}
+
+std::string WidenFirstTree(const std::string& model) {
+  bool done = false;
+  return EditLines(model, [&](size_t, const std::string& line) {
+    if (done || line.rfind("tree ", 0) != 0) {
+      return line;
+    }
+    done = true;
+    return line.substr(0, line.rfind(' ')) + " 5";
+  });
+}
+
+// Every leaf of the first tree keeps only its first value.
+std::string CutFirstTreeLeaves(const std::string& model) {
+  int trees_seen = 0;
+  return EditLines(model, [&](size_t, const std::string& line) {
+    if (line.rfind("tree ", 0) == 0) {
+      ++trees_seen;
+      return line;
+    }
+    std::istringstream node(line);
+    std::string feature;
+    std::string threshold;
+    int left = 0;
+    int right = 0;
+    size_t count = 0;
+    std::string first_value;
+    node >> feature >> threshold >> left >> right >> count >> first_value;
+    if (trees_seen != 1 || !node || left != -1) {
+      return line;
+    }
+    return feature + " " + threshold + " -1 " + std::to_string(right) + " 1 " + first_value;
+  });
+}
+
 TEST(CliMisuse, RejectsUnusableInputBeforeTraining) {
   const std::string model_path = ScratchPath("model.txt");
   const std::string garbage_model = ScratchPath("garbage_model.txt");
@@ -61,6 +128,22 @@ TEST(CliMisuse, RejectsUnusableInputBeforeTraining) {
   WriteFile(garbage_model, "not a model\n1 2 3\n");
   WriteFile(empty_model, "");
   WriteFile(tag_only_model, "numaplace-perf-model-v1\n");
+  // Edited copies of a trained model, each still parseable, whose shapes
+  // disagree: a tree whose leaves are narrower than the forest's target
+  // count, fewer placement ids than targets, a tree reading 5 features
+  // where a performance model has 3.
+  const std::string trained_model = ScratchPath("trained_model.txt");
+  const std::string short_leaf_model = ScratchPath("short_leaf_model.txt");
+  const std::string short_ids_model = ScratchPath("short_ids_model.txt");
+  const std::string wide_tree_model = ScratchPath("wide_tree_model.txt");
+  const CliRun train = RunCli("train intel 16 " + trained_model);
+  ASSERT_EQ(train.status, 0) << train.err;
+  const CliRun trained_predict = RunCli("predict " + trained_model + " 1e5 1e5");
+  ASSERT_EQ(trained_predict.status, 0) << trained_predict.err;
+  const std::string trained_text = ReadFile(trained_model);
+  WriteFile(short_leaf_model, CutFirstTreeLeaves(trained_text));
+  WriteFile(short_ids_model, DropLastPlacementId(trained_text));
+  WriteFile(wide_tree_model, WidenFirstTree(trained_text));
   const std::vector<std::string> cases = {
       // Container size out of range for the machine.
       "placements amd 0",
@@ -105,18 +188,28 @@ TEST(CliMisuse, RejectsUnusableInputBeforeTraining) {
       "predict " + garbage_model + " 1 2",
       "predict " + empty_model + " 1 2",
       "predict " + tag_only_model + " 1 2",
+      // Model files whose shapes disagree.
+      "predict " + short_leaf_model + " 1e5 1e5",
+      "predict " + short_ids_model + " 1e5 1e5",
+      "predict " + wide_tree_model + " 1e5 1e5",
   };
   for (const std::string& args : cases) {
     SCOPED_TRACE(args);
     const CliRun run = RunCli(args);
     EXPECT_EQ(run.status, 2);
-    ASSERT_FALSE(run.err.empty());
+    // A silent row fails alone; the rows after it are still checked. The
+    // one-line check needs a message: err.size() - 1 would wrap to npos.
+    EXPECT_FALSE(run.err.empty());
+    if (run.err.empty()) {
+      continue;
+    }
     EXPECT_EQ(run.err.find('\n'), run.err.size() - 1) << run.err;  // one line
     EXPECT_EQ(run.err.find("NP_CHECK"), std::string::npos) << run.err;
     EXPECT_EQ(run.out.find("training a model"), std::string::npos) << run.out;
   }
   EXPECT_FALSE(std::ifstream(model_path).good()) << "a rejected train wrote its file";
-  for (const std::string& path : {garbage_model, empty_model, tag_only_model}) {
+  for (const std::string& path : {garbage_model, empty_model, tag_only_model, trained_model,
+                                  short_leaf_model, short_ids_model, wide_tree_model}) {
     std::remove(path.c_str());
   }
 }

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -355,6 +356,74 @@ TEST(RandomForest, OutOfBagMaeMatchesBruteForceReference) {
   extended.features.push_back({1.5, 0.25, 0.5});
   extended.targets.push_back({2.0, -1.0});
   EXPECT_EQ(forest.OutOfBagMae(extended), reference(extended));
+}
+
+TEST(RandomForest, PredictIsTheTreeByTreeSumAndTextRoundTrips) {
+  // Three features and five targets, the shape of a performance model.
+  Dataset train;
+  Rng rng(41);
+  for (int i = 0; i < 80; ++i) {
+    const double a = rng.NextDouble(0.5, 2.0);
+    const double b = rng.NextDouble(0.5, 2.0);
+    train.features.push_back({a, b, b / a});
+    train.targets.push_back({1.0, a, b, a * b + rng.NextGaussian(0.0, 0.05), b / a});
+  }
+  ForestParams params;
+  params.num_trees = 24;
+  params.seed = 43;
+  RandomForest forest;
+  forest.Fit(train, params);
+
+  // Rebuild every tree as Fit does (see OutOfBagMaeMatchesBruteForceReference).
+  const size_t n = train.NumSamples();
+  const Rng forest_rng(params.seed);
+  TreeParams tree_params = params.tree;
+  tree_params.features_per_split = 1;  // max(1, round(3 / 3))
+  std::vector<RegressionTree> trees(static_cast<size_t>(params.num_trees));
+  for (size_t t = 0; t < trees.size(); ++t) {
+    Rng tree_rng = forest_rng.Fork(t);
+    std::vector<size_t> rows(n);
+    for (size_t& row : rows) {
+      row = static_cast<size_t>(tree_rng.NextBelow(n));
+    }
+    trees[t].Fit(train, rows, tree_params, tree_rng);
+  }
+
+  Rng qrng(47);
+  std::string text;
+  for (int q = 0; q < 300; ++q) {
+    const double a = qrng.NextDouble(0.0, 2.5);
+    const double b = qrng.NextDouble(0.0, 2.5);
+    const std::vector<double> x = {a, b, b / (a + 0.01)};
+    // Each tree's leaf values added in tree order, then one division.
+    std::vector<double> reference(train.NumTargets(), 0.0);
+    for (const RegressionTree& tree : trees) {
+      const std::vector<double> leaf = tree.Predict(x);
+      for (size_t k = 0; k < reference.size(); ++k) {
+        reference[k] += leaf[k];
+      }
+    }
+    for (double& v : reference) {
+      v /= static_cast<double>(trees.size());
+    }
+    const std::vector<double> predicted = forest.Predict(x);
+    ASSERT_EQ(predicted, reference) << "query " << q;
+    for (double v : predicted) {
+      char buffer[32];
+      std::snprintf(buffer, sizeof(buffer), "%.17g ", v);
+      text += buffer;
+    }
+  }
+  EXPECT_EQ(Fnv1a(text), 0x41185406e24088a8ULL);
+
+  std::ostringstream first;
+  forest.SerializeTo(first);
+  std::istringstream in(first.str());
+  RandomForest loaded;
+  loaded.DeserializeFrom(in);
+  std::ostringstream second;
+  loaded.SerializeTo(second);
+  EXPECT_EQ(second.str(), first.str());
 }
 
 TEST(RandomForest, IrrelevantFeaturesTolerated) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/core/important.h"
 #include "src/ml/forest.h"
@@ -134,6 +136,166 @@ TEST(ModelSerialize, FullModelRoundTrip) {
     const double pb = pipeline.MeasureAbsolute(w, model.input_b, 777);
     EXPECT_EQ(model.Predict(pa, pb), loaded.Predict(pa, pb)) << name;
   }
+}
+
+// Replaces the first occurrence of `from`, which must exist.
+std::string ReplaceFirst(std::string text, const std::string& from, const std::string& to) {
+  const size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return at == std::string::npos ? text : text.replace(at, from.size(), to);
+}
+
+// The text of leaf line `line` (a full "feature threshold -1 -1 count v..."
+// line) cut to its first value.
+std::string FirstValueOnly(const std::string& line) {
+  std::istringstream in(line);
+  std::string feature;
+  std::string threshold;
+  std::string left;
+  std::string right;
+  size_t count = 0;
+  std::string first;
+  in >> feature >> threshold >> left >> right >> count >> first;
+  return feature + " " + threshold + " " + left + " " + right + " 1 " + first;
+}
+
+// The leaf lines of the first tree in a serialized forest.
+std::vector<std::string> FirstTreeLeafLines(const std::string& forest_text) {
+  std::istringstream in(forest_text);
+  std::vector<std::string> leaves;
+  std::string line;
+  int trees = 0;
+  while (std::getline(in, line)) {
+    if (line.rfind("tree ", 0) == 0) {
+      ++trees;
+    } else if (trees == 1 && line.rfind("-1 ", 0) == 0) {
+      leaves.push_back(line);
+    }
+  }
+  return leaves;
+}
+
+std::string SerializedForest(int num_trees) {
+  RandomForest forest;
+  ForestParams params;
+  params.num_trees = num_trees;
+  params.seed = 21;
+  forest.Fit(MakeData(60, 20), params);
+  std::ostringstream text;
+  forest.SerializeTo(text);
+  return text.str();
+}
+
+TEST(ForestSerialize, RejectsLeavesNarrowerThanTheTargets) {
+  const std::string text = SerializedForest(4);
+  const std::vector<std::string> leaves = FirstTreeLeafLines(text);
+  ASSERT_GE(leaves.size(), 2u);
+  // One short leaf: the tree's own leaves disagree.
+  {
+    std::istringstream in(ReplaceFirst(text, leaves[0], FirstValueOnly(leaves[0])));
+    RandomForest loaded;
+    EXPECT_THROW(loaded.DeserializeFrom(in), std::logic_error);
+  }
+  // Every leaf of the tree short: the tree is consistent, the forest is not.
+  {
+    std::string edited = text;
+    for (const std::string& leaf : leaves) {
+      edited = ReplaceFirst(edited, leaf, FirstValueOnly(leaf));
+    }
+    std::istringstream in(edited);
+    RandomForest loaded;
+    EXPECT_THROW(loaded.DeserializeFrom(in), std::logic_error);
+  }
+}
+
+TEST(ForestSerialize, RejectsTreesOfDifferentFeatureCounts) {
+  const std::string text = SerializedForest(3);
+  const size_t header = text.find("tree ");
+  const size_t end = text.find('\n', header);
+  const std::string line = text.substr(header, end - header);
+  ASSERT_EQ(line.substr(line.rfind(' ')), " 2");
+  std::istringstream in(ReplaceFirst(text, line, line.substr(0, line.rfind(' ')) + " 5"));
+  RandomForest loaded;
+  EXPECT_THROW(loaded.DeserializeFrom(in), std::logic_error);
+}
+
+TEST(TreeSerialize, RejectsChildLinksThatDoNotPointForward) {
+  // Node 1 is its own left child: Predict would loop forever on x <= 0.5.
+  std::stringstream self_loop(
+      "tree 4 1\n0 0.5 1 3 0\n0 0.5 1 2 0\n-1 0 -1 -1 1 1\n-1 0 -1 -1 1 2\n");
+  RegressionTree tree;
+  EXPECT_THROW(tree.DeserializeFrom(self_loop), std::logic_error);
+  // Node 2 links back to node 1.
+  std::stringstream backward(
+      "tree 4 1\n0 0.5 2 3 0\n-1 0 -1 -1 1 1\n0 0.5 1 3 0\n-1 0 -1 -1 1 2\n");
+  EXPECT_THROW(tree.DeserializeFrom(backward), std::logic_error);
+  std::stringstream forward("tree 3 1\n0 0.5 1 2 0\n-1 0 -1 -1 1 1\n-1 0 -1 -1 1 2\n");
+  tree.DeserializeFrom(forward);
+  EXPECT_EQ(tree.Predict(std::vector<double>{0.0}), std::vector<double>{1.0});
+  EXPECT_EQ(tree.Predict(std::vector<double>{1.0}), std::vector<double>{2.0});
+}
+
+TEST(TreeSerialize, RejectsValuesOnAnInternalNode) {
+  std::stringstream text("tree 3 1\n0 0.5 1 2 1 7\n-1 0 -1 -1 1 1\n-1 0 -1 -1 1 2\n");
+  RegressionTree tree;
+  EXPECT_THROW(tree.DeserializeFrom(text), std::logic_error);
+}
+
+// A small model of the deployed shape: 3 features, one target per
+// placement id.
+TrainedPerfModel SmallPerfModel() {
+  Dataset data;
+  Rng rng(23);
+  for (int i = 0; i < 40; ++i) {
+    const double a = rng.NextDouble(0.5, 2.0);
+    const double b = rng.NextDouble(0.5, 2.0);
+    data.features.push_back({a, b, b / a});
+    data.targets.push_back({1.0, a, b, a * b, b / a});
+  }
+  TrainedPerfModel model;
+  model.input_a = 2;
+  model.input_b = 4;
+  model.baseline_id = 1;
+  model.ipc_scale = 0.5;
+  model.placement_ids = {1, 2, 3, 4, 5};
+  ForestParams params;
+  params.num_trees = 6;
+  model.forest.Fit(data, params);
+  return model;
+}
+
+TEST(ModelSerialize, SaveLoadSaveIsByteIdentical) {
+  std::ostringstream first;
+  SmallPerfModel().SaveText(first);
+  std::istringstream in(first.str());
+  std::ostringstream second;
+  TrainedPerfModel::LoadText(in).SaveText(second);
+  EXPECT_EQ(second.str(), first.str());
+}
+
+TEST(ModelSerialize, RejectsPlacementIdsThatDoNotMatchTheTargets) {
+  std::ostringstream text;
+  SmallPerfModel().SaveText(text);
+  for (const char* ids : {"4 1 2 3 4\n", "6 1 2 3 4 5 6\n"}) {
+    std::istringstream in(ReplaceFirst(text.str(), "5 1 2 3 4 5\n", ids));
+    EXPECT_THROW(TrainedPerfModel::LoadText(in), std::logic_error) << ids;
+  }
+}
+
+TEST(ModelSerialize, RejectsAForestOfTheWrongFeatureCount) {
+  // Every tree reads 4 features, so the forest agrees with itself; a
+  // performance model's rows have 3.
+  std::ostringstream saved;
+  SmallPerfModel().SaveText(saved);
+  std::string text = saved.str();
+  for (size_t at = text.find("\ntree "); at != std::string::npos;
+       at = text.find("\ntree ", at + 1)) {
+    const size_t end = text.find('\n', at + 1);
+    ASSERT_EQ(text.substr(end - 2, 2), " 3");
+    text.replace(end - 1, 1, "4");
+  }
+  std::istringstream in(text);
+  EXPECT_THROW(TrainedPerfModel::LoadText(in), std::logic_error);
 }
 
 TEST(ModelSerialize, RejectsWrongFormatTag) {

@@ -4,9 +4,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "src/core/concern.h"
 #include "src/core/important.h"
 #include "src/sim/hpe.h"
 #include "src/sim/linux_mapper.h"
@@ -299,6 +304,178 @@ TEST(Synth, DeterministicPerSeedAndValidRanges) {
     EXPECT_GE(a[i].l2_locality, 0.0);
     EXPECT_LE(a[i].l2_locality, 1.0);
   }
+}
+
+// Exact-output pins. Each test renders a seeded corpus of simulator
+// outputs as `%.17g` text, which round-trips every double, and compares the
+// text's FNV-1a with the value the map-based engine produced. A change to
+// the engine that moves any bit of any field fails here.
+
+uint64_t Fnv1a(const std::string& text) {
+  uint64_t hash = 1469598103934665603ULL;
+  for (const unsigned char c : text) {
+    hash ^= c;
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+void AppendDouble(std::string* text, double value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%.17g ", value);
+  *text += buffer;
+}
+
+void AppendInts(std::string* text, const std::vector<int>& values) {
+  for (int v : values) {
+    *text += std::to_string(v) + ",";
+  }
+  *text += " ";
+}
+
+// Throughput and all 11 breakdown fields.
+void AppendResult(std::string* text, const PerfResult& r) {
+  const PerfBreakdown& b = r.breakdown;
+  for (double v : {r.throughput_ops, b.l2_hit, b.l3_hit, b.pipeline_factor, b.comm_factor,
+                   b.bandwidth_factor, b.dram_demand_gbps, b.dram_supply_gbps,
+                   b.ic_demand_gbps, b.ic_supply_gbps, b.mean_latency_ns, b.cost_per_op}) {
+    AppendDouble(text, v);
+  }
+  *text += "\n";
+}
+
+// The placement's latency mean and the four distinct-id sets.
+void AppendShape(std::string* text, const Placement& p, const Topology& topo) {
+  AppendInts(text, p.hw_threads);
+  AppendDouble(text, p.MeanPairwiseLatencyNs(topo));
+  AppendInts(text, p.NodesUsed(topo));
+  AppendInts(text, p.L3GroupsUsed(topo));
+  AppendInts(text, p.L2GroupsUsed(topo));
+  AppendInts(text, p.CoresUsed(topo));
+  *text += "\n";
+}
+
+std::vector<Topology> PinMachines() {
+  return {AmdOpteron6272(), IntelXeonE74830v3(), AmdZenLike(), HaswellClusterOnDie()};
+}
+
+std::vector<WorkloadProfile> PinWorkloads() {
+  std::vector<WorkloadProfile> workloads = PaperWorkloads();
+  Rng rng(2020);
+  for (WorkloadProfile& w : SampleTrainingWorkloads(8, rng)) {
+    workloads.push_back(std::move(w));
+  }
+  return workloads;
+}
+
+TEST(SimulatorPin, SoloImportantPlacements) {
+  const std::vector<WorkloadProfile> workloads = PinWorkloads();
+  std::string text;
+  for (const Topology& topo : PinMachines()) {
+    const PerformanceModel sim(topo, 0.015, 11);
+    for (int vcpus : {8, 16}) {
+      const ImportantPlacementSet ips =
+          GenerateImportantPlacements(topo, vcpus, InterconnectIsAsymmetric(topo));
+      for (const ImportantPlacement& ip : ips.placements) {
+        const Placement p = Realize(ip, topo, vcpus);
+        AppendShape(&text, p, topo);
+        for (const WorkloadProfile& w : workloads) {
+          for (uint64_t run : {0, 41, 42}) {
+            AppendResult(&text, sim.Evaluate(w, p, run));
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(Fnv1a(text), 0x01f6233b5e871419ULL);
+}
+
+TEST(SimulatorPin, UnbalancedAndStackedPlacements) {
+  // The simulated Linux mapper skews vCPUs across nodes and L2 groups; the
+  // stacked copies put two vCPUs on one hardware thread.
+  const std::vector<WorkloadProfile> workloads = PinWorkloads();
+  std::string text;
+  Rng rng(31);
+  for (const Topology& topo : PinMachines()) {
+    const PerformanceModel sim(topo, 0.015, 12);
+    const LinuxMapper mapper(topo, 0.6);
+    for (int trial = 0; trial < 8; ++trial) {
+      const int vcpus = 2 + 2 * static_cast<int>(rng.NextBelow(8));
+      const Placement mapped = mapper.Map(vcpus, rng);
+      Placement stacked = mapped;
+      for (size_t i = 1; i < stacked.hw_threads.size(); i += 3) {
+        stacked.hw_threads[i] = stacked.hw_threads[i - 1];
+      }
+      for (const Placement& p : {mapped, stacked}) {
+        AppendShape(&text, p, topo);
+        for (const WorkloadProfile& w : workloads) {
+          for (uint64_t run : {0, 41, 42}) {
+            AppendResult(&text, sim.Evaluate(w, p, run));
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(Fnv1a(text), 0xe5a3f794417890abULL);
+}
+
+TEST(SimulatorPin, MultiTenantMixes) {
+  // 1-6 co-running tenants. Representative realizations of important
+  // placements share their low node ids, and mapper placements land on
+  // random node subsets, so node sets (and threads) overlap.
+  const std::vector<WorkloadProfile> workloads = PinWorkloads();
+  std::string text;
+  Rng rng(32);
+  for (const Topology& topo : PinMachines()) {
+    const MultiTenantModel multi(topo, 0.015, 13);
+    const LinuxMapper mapper(topo, 0.3);
+    std::vector<Placement> important;
+    for (int vcpus : {8, 16}) {
+      const ImportantPlacementSet ips =
+          GenerateImportantPlacements(topo, vcpus, InterconnectIsAsymmetric(topo));
+      for (const ImportantPlacement& ip : ips.placements) {
+        important.push_back(Realize(ip, topo, vcpus));
+      }
+    }
+    for (int mix = 0; mix < 24; ++mix) {
+      std::vector<MultiTenantModel::Tenant> tenants;
+      const int count = 1 + mix % 6;
+      for (int c = 0; c < count; ++c) {
+        const WorkloadProfile* w = &workloads[rng.NextBelow(workloads.size())];
+        if (rng.NextDouble() < 0.5) {
+          tenants.push_back({w, important[rng.NextBelow(important.size())]});
+          continue;
+        }
+        NodeSet nodes(static_cast<size_t>(topo.num_nodes()));
+        for (int n = 0; n < topo.num_nodes(); ++n) {
+          nodes[static_cast<size_t>(n)] = n;
+        }
+        rng.Shuffle(nodes);
+        nodes.resize(1 + rng.NextBelow(nodes.size()));
+        std::sort(nodes.begin(), nodes.end());
+        const int room = static_cast<int>(nodes.size()) * topo.NodeCapacity();
+        const int vcpus = 1 + static_cast<int>(rng.NextBelow(std::min(room, 16)));
+        tenants.push_back({w, mapper.Map(vcpus, nodes, {}, rng)});
+      }
+      for (const PerfResult& r : multi.Evaluate(tenants)) {
+        AppendResult(&text, r);
+      }
+    }
+  }
+  EXPECT_EQ(Fnv1a(text), 0x788c8605efd2b13aULL);
+}
+
+TEST(SimulatorPin, PairwiseLatencyOverEveryThreadPair) {
+  std::string text;
+  for (const Topology& topo : PinMachines()) {
+    for (int a = 0; a < topo.NumHwThreads(); ++a) {
+      for (int b = 0; b < topo.NumHwThreads(); ++b) {
+        AppendDouble(&text, topo.CommunicationLatencyNs(a, b));
+      }
+      text += "\n";
+    }
+  }
+  EXPECT_EQ(Fnv1a(text), 0x126a3c678d4d2cb3ULL);
 }
 
 }  // namespace
