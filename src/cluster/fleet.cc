@@ -1235,7 +1235,7 @@ FleetReport FleetScheduler::ReplayWithEvaluation(const EventStream& trace,
           }
         }
         // A queued container attains nothing while it waits.
-        const std::vector<int> pending_ids = machine.scheduler->PendingIds();
+        const std::vector<int>& pending_ids = machine.scheduler->PendingIds();
         const double pending = static_cast<double>(pending_ids.size());
         container_seconds += pending * dt;
         container_rate += pending;

@@ -29,6 +29,7 @@ void OccupancyMap::Acquire(int container_id, const Placement& placement) {
     owner_[static_cast<size_t>(t)] = container_id;
   }
   free_count_ -= static_cast<int>(placement.hw_threads.size());
+  ++generation_;
 }
 
 int OccupancyMap::Release(int container_id) {
@@ -41,6 +42,9 @@ int OccupancyMap::Release(int container_id) {
     }
   }
   free_count_ += released;
+  if (released > 0) {
+    ++generation_;
+  }
   return released;
 }
 

@@ -13,6 +13,7 @@
 #ifndef NUMAPLACE_SRC_CORE_OCCUPANCY_H_
 #define NUMAPLACE_SRC_CORE_OCCUPANCY_H_
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -44,6 +45,13 @@ class OccupancyMap {
   // (0 when the container owns nothing).
   int Release(int container_id);
 
+  // Moves on every change of the owner vector: each Acquire, and each
+  // Release that frees at least one thread. The queries below and the
+  // realizations that read them depend on nothing else the map holds, so
+  // an unchanged generation means unchanged answers. A copy starts at its
+  // source's generation.
+  uint64_t Generation() const { return generation_; }
+
   // All threads currently owned by `container_id`, ascending.
   std::vector<int> ThreadsOf(int container_id) const;
 
@@ -64,6 +72,7 @@ class OccupancyMap {
   const Topology* topo_;
   std::vector<int> owner_;  // per hw thread
   int free_count_;
+  uint64_t generation_ = 0;
 };
 
 // Realizes `ip`'s placement class on the node set `nodes` using only

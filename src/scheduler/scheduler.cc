@@ -28,6 +28,11 @@ size_t IndexOf(const std::vector<int>& placement_ids, int id) {
   __builtin_unreachable();
 }
 
+// Position of placement `id` in ips.placements.
+size_t PlacementIndex(const ImportantPlacementSet& ips, int id) {
+  return static_cast<size_t>(&ips.ById(id) - ips.placements.data());
+}
+
 }  // namespace
 
 ContainerRequest RequestFromArrival(const ContainerArrival& arrival) {
@@ -63,18 +68,40 @@ MachineScheduler::MachineScheduler(const Topology& topo, const PerformanceModel&
 
 void MachineScheduler::ProvidePlacements(const ImportantPlacementSet& ips) {
   NP_CHECK(ips.vcpus > 0);
-  placements_by_vcpus_.insert_or_assign(ips.vcpus, ips);
+  sizes_.insert_or_assign(ips.vcpus, SizeState(ips));
+}
+
+MachineScheduler::SizeState& MachineScheduler::StateFor(int vcpus) const {
+  const auto it = sizes_.find(vcpus);
+  if (it != sizes_.end()) {
+    return it->second;
+  }
+  return sizes_
+      .emplace(vcpus, SizeState(GenerateImportantPlacements(
+                          *topo_, vcpus, config_.use_interconnect_concern)))
+      .first->second;
 }
 
 const ImportantPlacementSet& MachineScheduler::PlacementsFor(int vcpus) const {
-  const auto it = placements_by_vcpus_.find(vcpus);
-  if (it != placements_by_vcpus_.end()) {
-    return it->second;
+  return StateFor(vcpus).ips;
+}
+
+const std::optional<Placement>& MachineScheduler::Realized(SizeState& size,
+                                                           size_t index) const {
+  SizeState::Slot& slot = size.realized.at(index);
+  if (!slot.filled || slot.generation != occupancy_.Generation()) {
+    slot.placement =
+        RealizeAnywhereFree(size.ips.placements[index], *topo_, size.ips.vcpus, occupancy_);
+    slot.generation = occupancy_.Generation();
+    slot.filled = true;
   }
-  return placements_by_vcpus_
-      .emplace(vcpus, GenerateImportantPlacements(*topo_, vcpus,
-                                                  config_.use_interconnect_concern))
-      .first->second;
+  return slot.placement;
+}
+
+const std::optional<Placement>& MachineScheduler::RealizedOnFreeThreads(
+    int vcpus, int placement_id) const {
+  SizeState& size = StateFor(vcpus);
+  return Realized(size, PlacementIndex(size.ips, placement_id));
 }
 
 const Migrator& MachineScheduler::MigratorFor(const ContainerRequest& request) const {
@@ -174,7 +201,8 @@ MachineScheduler::ProbeCharge MachineScheduler::EnsureProbes(
 MachineScheduler::AdmissionPreview MachineScheduler::PreviewAdmission(
     const ContainerRequest& request) const {
   NP_CHECK(request.vcpus > 0);
-  const ImportantPlacementSet& ips = PlacementsFor(request.vcpus);
+  SizeState& size = StateFor(request.vcpus);
+  const ImportantPlacementSet& ips = size.ips;
   std::vector<int> placement_ids;
   std::vector<double> predicted_abs;
   double decision_goal = 0.0;
@@ -201,12 +229,11 @@ MachineScheduler::AdmissionPreview MachineScheduler::PreviewAdmission(
     NP_CHECK_MSG(idx < placement_ids.size(),
                  "policy '" << policy_->name() << "' ranked candidate index " << idx
                             << " out of range");
-    const ImportantPlacement& ip = ips.ById(placement_ids[idx]);
-    if (!RealizeAnywhereFree(ip, *topo_, request.vcpus, occupancy_).has_value()) {
+    if (!Realized(size, PlacementIndex(ips, placement_ids[idx])).has_value()) {
       continue;
     }
     preview.realizable = true;
-    preview.placement_id = ip.id;
+    preview.placement_id = placement_ids[idx];
     preview.predicted_abs = predicted_abs[idx];
     preview.meets_goal = policy_->UsesModel() && predicted_abs[idx] >= decision_goal;
     break;
@@ -217,7 +244,8 @@ MachineScheduler::AdmissionPreview MachineScheduler::PreviewAdmission(
 ScheduleOutcome MachineScheduler::TryPlace(ManagedContainer& container, double now) {
   NP_CHECK(container.state == ContainerState::kPending);
   const ContainerRequest& request = container.request;
-  const ImportantPlacementSet& ips = PlacementsFor(request.vcpus);
+  SizeState& size = StateFor(request.vcpus);
+  const ImportantPlacementSet& ips = size.ips;
 
   ScheduleOutcome outcome;
   outcome.container_id = request.id;
@@ -270,9 +298,11 @@ ScheduleOutcome MachineScheduler::TryPlace(ManagedContainer& container, double n
     NP_CHECK_MSG(idx < placement_ids.size(),
                  "policy '" << policy_->name() << "' ranked candidate index " << idx
                             << " out of range");
-    const ImportantPlacement& ip = ips.ById(placement_ids[idx]);
-    const std::optional<Placement> realized =
-        RealizeAnywhereFree(ip, *topo_, request.vcpus, occupancy_);
+    const size_t index = PlacementIndex(ips, placement_ids[idx]);
+    const ImportantPlacement& ip = ips.placements[index];
+    // Acquire below makes the slot stale but leaves its contents alone, so
+    // the reference stays good for the rest of the commit.
+    const std::optional<Placement>& realized = Realized(size, index);
     if (!realized.has_value()) {
       continue;
     }
@@ -548,8 +578,6 @@ const ManagedContainer* MachineScheduler::Find(int container_id) const {
 std::vector<int> MachineScheduler::RunningIds() const {
   return std::vector<int>(running_.begin(), running_.end());
 }
-
-std::vector<int> MachineScheduler::PendingIds() const { return pending_; }
 
 double MachineScheduler::TimeAveragedUtilization() const {
   if (stats_.last_event_seconds <= 0.0) {

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -129,11 +130,21 @@ class MachineScheduler {
                    std::unique_ptr<SchedulingPolicy> policy);
 
   // Injects a precomputed important-placement set for its vCPU count
-  // (otherwise sets are generated lazily on first use of a size).
-  // PlacementsFor is const because previews call it: the lazy fill goes into
-  // a mutable per-machine cache.
+  // (otherwise sets are generated lazily on first use of a size), dropping
+  // that size's realizability memo. PlacementsFor is const because previews
+  // call it: the lazy fill goes into a mutable per-machine cache.
   void ProvidePlacements(const ImportantPlacementSet& ips);
   const ImportantPlacementSet& PlacementsFor(int vcpus) const;
+
+  // RealizeAnywhereFree(ip, topology(), vcpus, occupancy()) for the
+  // placement `placement_id` of PlacementsFor(vcpus), served from a
+  // per-placement memo that is refilled only when occupancy().Generation()
+  // moved since the slot was filled. The result is a pure function of the
+  // placement, the topology, vcpus and the owner vector, and every owner
+  // change moves the generation, so a memo hit returns exactly what a fresh
+  // search would. Admission previews and commits read it; the reference
+  // stays valid until the next call for the same size or ProvidePlacements.
+  const std::optional<Placement>& RealizedOnFreeThreads(int vcpus, int placement_id) const;
 
   // Admits a container at trace time `now`, placing it on free hardware
   // threads when possible and queueing it otherwise.
@@ -202,7 +213,8 @@ class MachineScheduler {
   // Running containers, ascending id (a live set: departed containers are
   // never walked).
   std::vector<int> RunningIds() const;
-  std::vector<int> PendingIds() const;
+  // Queued containers in FIFO order; valid until the scheduler next changes.
+  const std::vector<int>& PendingIds() const { return pending_; }
 
   // Bumped whenever the running tenant set or a running tenant's placement
   // changes: a committed admission, the departure of a running container,
@@ -231,6 +243,25 @@ class MachineScheduler {
   std::vector<TenantSnapshot> SnapshotPerformance(const MultiTenantModel& multi) const;
 
  private:
+  // One container size: its important placements and, aligned with
+  // ips.placements, each placement's memoized RealizeAnywhereFree on
+  // occupancy_.
+  struct SizeState {
+    struct Slot {
+      bool filled = false;
+      uint64_t generation = 0;  // occupancy_.Generation() when filled
+      std::optional<Placement> placement;
+    };
+    explicit SizeState(ImportantPlacementSet set)
+        : ips(std::move(set)), realized(ips.placements.size()) {}
+    ImportantPlacementSet ips;
+    std::vector<Slot> realized;
+  };
+  // The size's state, generating its placement set on first use.
+  SizeState& StateFor(int vcpus) const;
+  // The memo slot of size.ips.placements[index], refilled when stale.
+  const std::optional<Placement>& Realized(SizeState& size, size_t index) const;
+
   // Advances the stats clock to `now`, integrating busy-thread time.
   void AdvanceClock(double now);
 
@@ -275,9 +306,10 @@ class MachineScheduler {
   SchedulerConfig config_;
   std::unique_ptr<SchedulingPolicy> policy_;
   OccupancyMap occupancy_;
-  // Lazily filled by PlacementsFor (mutable so const preview paths can
-  // fill it). Per-machine: only this scheduler's decisions touch it.
-  mutable std::map<int, ImportantPlacementSet> placements_by_vcpus_;
+  // By vCPU count. Lazily filled by PlacementsFor and the memo (mutable so
+  // const preview paths can fill them). Per-machine: only this scheduler's
+  // decisions touch it.
+  mutable std::map<int, SizeState> sizes_;
   std::map<int, ManagedContainer> containers_;
   std::set<int> running_;     // ids of kRunning containers
   std::vector<int> pending_;  // FIFO by submit time

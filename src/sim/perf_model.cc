@@ -15,8 +15,6 @@ namespace {
 constexpr double kL2HitCost = 1.3;
 constexpr double kL3HitCost = 3.0;
 constexpr double kDramCost = 9.0;
-// Fixed-point iterations for the bandwidth-saturation feedback loop.
-constexpr int kBandwidthIterations = 4;
 // Scale of the latency bonus when threads sit closer than one node apart.
 constexpr double kProximityBonus = 0.3;
 // Share of residual L3 misses that cooperative co-located threads absorb.
@@ -82,7 +80,6 @@ void EvaluateTenants(const Topology& topo, std::span<const EngineTenant> tenants
     double share_frac = 0.0;
     double ic_supply = 0.0;      // aggregate link bandwidth of its nodes
     double routed_supply = 0.0;  // the same, floored for routed traffic
-    double bw_penalty = 1.0;     // >= 1, multiplies DRAM cost
     double dram_demand = 0.0;
     double ic_demand = 0.0;
     double dram_factor = 1.0;
@@ -93,7 +90,7 @@ void EvaluateTenants(const Topology& topo, std::span<const EngineTenant> tenants
     double pipeline = 1.0;   // L2-group sharing + hw-thread oversubscription
     double l2_hit = 0.0;
     double l3_hit = 0.0;
-    double speed = 0.0;      // filled by the fixed point
+    double speed = 0.0;      // filled once the saturation penalty is known
   };
 
   std::vector<TenantState> state(num_tenants);
@@ -238,77 +235,70 @@ void EvaluateTenants(const Topology& topo, std::span<const EngineTenant> tenants
     }
   }
 
-  // --- Bandwidth fixed point ---
-  // Saturation slows threads down, which lowers traffic; a few iterations
-  // converge because the map demand -> slowdown -> demand is monotone.
-  std::vector<double> node_dram_demand(num_nodes);  // GB/s per node
-  for (int iter = 0; iter < kBandwidthIterations; ++iter) {
-    // Thread speeds under the current bandwidth penalty.
-    for (size_t c = 0; c < num_tenants; ++c) {
-      const WorkloadProfile& w = *tenants[c].profile;
-      const TenantState& tenant = state[c];
-      for (ThreadState& s : tenant_threads(tenant)) {
-        const double dram_cost = kDramCost * tenant.bw_penalty;
-        const double cost =
-            (1.0 - w.mem_intensity) +
-            w.mem_intensity *
-                (s.l2_hit * kL2HitCost +
-                 (1.0 - s.l2_hit) *
-                     (s.l3_hit * kL3HitCost + (1.0 - s.l3_hit) * dram_cost));
-        s.speed = s.pipeline * tenant.comm_factor / cost;
+  // --- Bandwidth saturation ---
+  // Traffic each thread generates at its natural memory-bound pace:
+  // bw_per_thread filtered by the caches. Demand deliberately does not scale
+  // with the achieved speed; saturation acts only through the DRAM-cost
+  // penalty on speed, matching how memory-bound applications pile requests
+  // onto a saturated controller. Demand reads no speed, so one pass each
+  // gives the demands, the saturation penalty and the speeds.
+  std::vector<double> node_dram_demand(num_nodes, 0.0);  // GB/s per node
+  for (size_t c = 0; c < num_tenants; ++c) {
+    const WorkloadProfile& w = *tenants[c].profile;
+    TenantState& tenant = state[c];
+    double total_traffic = 0.0;
+    for (const ThreadState& s : tenant_threads(tenant)) {
+      total_traffic += w.bw_per_thread_gbps * (1.0 - s.l2_hit) * (1.0 - s.l3_hit);
+    }
+    tenant.dram_demand = total_traffic;
+    const auto num_tenant_nodes = static_cast<double>(tenant.num_nodes);
+    for (int n : tenant_nodes(tenant)) {
+      node_dram_demand[static_cast<size_t>(n)] += total_traffic / num_tenant_nodes;
+    }
+    tenant.ic_demand =
+        total_traffic * tenant.share_frac * (num_tenant_nodes - 1.0) / num_tenant_nodes;
+  }
+
+  // Per-tenant saturation factors.
+  for (size_t c = 0; c < num_tenants; ++c) {
+    TenantState& tenant = state[c];
+    double dram_f = 1.0;
+    for (int n : tenant_nodes(tenant)) {
+      const double demand = node_dram_demand[static_cast<size_t>(n)];
+      if (demand > perf.dram_gbps_per_node) {
+        dram_f = std::min(dram_f, perf.dram_gbps_per_node / demand);
       }
     }
+    tenant.dram_factor = dram_f;
 
-    // Demands given speeds.
-    std::fill(node_dram_demand.begin(), node_dram_demand.end(), 0.0);
-    for (size_t c = 0; c < num_tenants; ++c) {
-      const WorkloadProfile& w = *tenants[c].profile;
-      TenantState& tenant = state[c];
-      // Traffic the thread generates at its natural memory-bound pace:
-      // bw_per_thread filtered by the caches. Demand deliberately does not
-      // scale with the achieved speed — saturation then feeds back through
-      // the DRAM-cost penalty, matching how memory-bound applications pile
-      // requests onto a saturated controller.
-      double total_traffic = 0.0;
-      for (const ThreadState& s : tenant_threads(tenant)) {
-        total_traffic += w.bw_per_thread_gbps * (1.0 - s.l2_hit) * (1.0 - s.l3_hit);
+    double ic_f = 1.0;
+    double competing = 0.0;
+    for (size_t o = 0; o < num_tenants; ++o) {
+      if (overlaps[c * num_tenants + o]) {
+        competing += state[o].ic_demand;
       }
-      tenant.dram_demand = total_traffic;
-      const auto num_tenant_nodes = static_cast<double>(tenant.num_nodes);
-      for (int n : tenant_nodes(tenant)) {
-        node_dram_demand[static_cast<size_t>(n)] += total_traffic / num_tenant_nodes;
-      }
-      tenant.ic_demand =
-          total_traffic * tenant.share_frac * (num_tenant_nodes - 1.0) / num_tenant_nodes;
     }
+    if (competing > 0.0) {
+      ic_f = tenant.routed_supply > 0.0 ? std::min(1.0, tenant.routed_supply / competing)
+                                        : 0.05;
+    }
+    tenant.ic_factor = ic_f;
+  }
 
-    // Per-tenant saturation factors.
-    for (size_t c = 0; c < num_tenants; ++c) {
-      TenantState& tenant = state[c];
-      double dram_f = 1.0;
-      for (int n : tenant_nodes(tenant)) {
-        const double demand = node_dram_demand[static_cast<size_t>(n)];
-        if (demand > perf.dram_gbps_per_node) {
-          dram_f = std::min(dram_f, perf.dram_gbps_per_node / demand);
-        }
-      }
-      tenant.dram_factor = dram_f;
-
-      double ic_f = 1.0;
-      double competing = 0.0;
-      for (size_t o = 0; o < num_tenants; ++o) {
-        if (overlaps[c * num_tenants + o]) {
-          competing += state[o].ic_demand;
-        }
-      }
-      if (competing > 0.0) {
-        ic_f = tenant.routed_supply > 0.0 ? std::min(1.0, tenant.routed_supply / competing)
-                                          : 0.05;
-      }
-      tenant.ic_factor = ic_f;
-
-      const double factor = std::min(tenant.dram_factor, tenant.ic_factor);
-      tenant.bw_penalty = 1.0 / std::max(factor, 0.02);
+  // Thread speeds under the saturation penalty.
+  for (size_t c = 0; c < num_tenants; ++c) {
+    const WorkloadProfile& w = *tenants[c].profile;
+    const TenantState& tenant = state[c];
+    const double factor = std::min(tenant.dram_factor, tenant.ic_factor);
+    const double bw_penalty = 1.0 / std::max(factor, 0.02);  // >= 1
+    const double dram_cost = kDramCost * bw_penalty;
+    for (ThreadState& s : tenant_threads(tenant)) {
+      const double cost =
+          (1.0 - w.mem_intensity) +
+          w.mem_intensity *
+              (s.l2_hit * kL2HitCost +
+               (1.0 - s.l2_hit) * (s.l3_hit * kL3HitCost + (1.0 - s.l3_hit) * dram_cost));
+      s.speed = s.pipeline * tenant.comm_factor / cost;
     }
   }
 

@@ -15,8 +15,10 @@
 //     vCPUs sit in the topology;
 //   * straggler effects for barrier-synchronized workloads under unbalanced
 //     mappings.
-// Throughput follows an average-memory-access-time cost model with a
-// bandwidth fixed point (saturation slows threads, which lowers demand).
+// Throughput follows an average-memory-access-time cost model. Bandwidth
+// demand is each thread's cache-filtered traffic at its natural pace, so it
+// does not depend on the achieved speed; saturation of that demand raises
+// the DRAM cost and thereby slows the threads down.
 // A seeded lognormal noise term models run-to-run measurement variance.
 #ifndef NUMAPLACE_SRC_SIM_PERF_MODEL_H_
 #define NUMAPLACE_SRC_SIM_PERF_MODEL_H_

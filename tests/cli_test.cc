@@ -192,6 +192,15 @@ TEST(CliMisuse, RejectsUnusableInputBeforeTraining) {
       "predict " + short_leaf_model + " 1e5 1e5",
       "predict " + short_ids_model + " 1e5 1e5",
       "predict " + wide_tree_model + " 1e5 1e5",
+      // Probe measurements that are not finite numbers > 0.
+      "predict " + trained_model + " 0 1",
+      "predict " + trained_model + " -1 1",
+      "predict " + trained_model + " nan 1",
+      "predict " + trained_model + " abc 1",
+      "predict " + trained_model + " 1e5x 1",
+      "predict " + trained_model + " 1 inf",
+      "predict " + trained_model + " inf 1",
+      "predict " + trained_model + " 1 -1",
   };
   for (const std::string& args : cases) {
     SCOPED_TRACE(args);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -932,6 +933,23 @@ TEST(FleetCapacityOps, CleanCapacityFlagSkipsTheRebalancePassEntirely) {
   EXPECT_EQ(fleet.stats().rebalance_passes, mid.rebalance_passes + 1);
 }
 
+// Whether, for every important placement of `vcpus`, the machine's memo
+// holds exactly what a fresh RealizeAnywhereFree on its occupancy finds:
+// the same presence and the same thread list.
+::testing::AssertionResult MemoMatchesAFreshSearch(const MachineScheduler& machine,
+                                                   int vcpus) {
+  for (const ImportantPlacement& ip : machine.PlacementsFor(vcpus).placements) {
+    const std::optional<Placement>& memo = machine.RealizedOnFreeThreads(vcpus, ip.id);
+    const std::optional<Placement> fresh =
+        RealizeAnywhereFree(ip, machine.topology(), vcpus, machine.occupancy());
+    if (memo.has_value() != fresh.has_value() ||
+        (fresh.has_value() && memo->hw_threads != fresh->hw_threads)) {
+      return ::testing::AssertionFailure() << "placement #" << ip.id << " memo differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST(FleetIncrementalState, RunningSetsAndSnapshotCacheMatchARecountAfterEveryStep) {
   // Churn past saturation plus a fail, a drain and both rejoins: every
   // path that moves a tenant between machines (dispatch, rebalance moves,
@@ -949,11 +967,15 @@ TEST(FleetIncrementalState, RunningSetsAndSnapshotCacheMatchARecountAfterEverySt
 
   TenantSnapshotCache cache(static_cast<size_t>(fleet.NumMachines()));
   std::vector<uint64_t> generations(static_cast<size_t>(fleet.NumMachines()));
+  std::vector<uint64_t> occupancy_generations(generations.size());
   int unchanged = 0;
+  int occupancy_unchanged = 0;
   for (const FleetEvent& event : trace) {
     for (int m = 0; m < fleet.NumMachines(); ++m) {
       cache.Get(static_cast<size_t>(m), fleet.machine(m), fleet.multi_model(m));
       generations[static_cast<size_t>(m)] = fleet.machine(m).TenantGeneration();
+      occupancy_generations[static_cast<size_t>(m)] =
+          fleet.machine(m).occupancy().Generation();
     }
     fleet.Step(event);
     for (int m = 0; m < fleet.NumMachines(); ++m) {
@@ -973,12 +995,22 @@ TEST(FleetIncrementalState, RunningSetsAndSnapshotCacheMatchARecountAfterEverySt
                 machine.SnapshotPerformance(fleet.multi_model(m)))
           << "machine " << m << " after " << ToString(event.kind()) << " at t="
           << event.time_seconds;
+      // The realizability memo, filled after the previous step and read by
+      // this step's previews and commits, must match a fresh search too.
+      occupancy_unchanged +=
+          machine.occupancy().Generation() == occupancy_generations[static_cast<size_t>(m)]
+              ? 1
+              : 0;
+      ASSERT_TRUE(MemoMatchesAFreshSearch(machine, 16))
+          << "machine " << m << " after " << ToString(event.kind()) << " at t="
+          << event.time_seconds;
     }
   }
   EXPECT_GT(fleet.stats().rebalance_moves, 0);
   EXPECT_GT(fleet.stats().drain_moves + fleet.stats().failover_moves, 0);
   EXPECT_EQ(fleet.stats().evacuations, 2);
   EXPECT_GT(unchanged, 0);
+  EXPECT_GT(occupancy_unchanged, 0);
 }
 
 TEST(FleetDomains, DomainScopedEventsReplayByteIdenticallyToTheHandList) {

@@ -1,6 +1,6 @@
 // Unit and property tests for the core placement machinery: Algorithm 1
-// (score generation), Algorithm 2 (packings), concerns, score vectors and
-// placement realization.
+// (score generation), Algorithm 2 (packings), concerns, score vectors,
+// placement realization and the occupancy generation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +10,7 @@
 #include "src/core/concern.h"
 #include "src/core/enumerate.h"
 #include "src/core/important.h"
+#include "src/core/occupancy.h"
 #include "src/core/placement.h"
 #include "src/topology/machines.h"
 #include "src/util/rng.h"
@@ -309,6 +310,40 @@ TEST(ImportantPlacements, RejectsOversizedContainer) {
   const Topology amd = AmdOpteron6272();
   EXPECT_THROW(GenerateImportantPlacements(amd, 65, true), std::logic_error);
   EXPECT_THROW(GenerateImportantPlacements(amd, 0, true), std::logic_error);
+}
+
+TEST(OccupancyMap, GenerationMovesOnEveryOwnerChange) {
+  const Topology amd = AmdOpteron6272();
+  OccupancyMap occ(amd);
+  Placement p;
+  p.hw_threads = amd.HwThreadsOnNode(2);
+
+  uint64_t generation = occ.Generation();
+  occ.Acquire(7, p);
+  EXPECT_NE(occ.Generation(), generation) << "Acquire";
+
+  // A copy starts where its source is and moves on its own.
+  OccupancyMap scratch = occ;
+  EXPECT_EQ(scratch.Generation(), occ.Generation());
+  generation = occ.Generation();
+  scratch.Release(7);
+  EXPECT_NE(scratch.Generation(), generation);
+  EXPECT_EQ(occ.Generation(), generation);
+
+  // Neither a rejected Acquire nor a Release that frees nothing changes an
+  // owner, so neither moves the generation.
+  Placement overlap;
+  overlap.hw_threads = {p.hw_threads[0]};
+  EXPECT_THROW(occ.Acquire(8, overlap), std::logic_error);
+  EXPECT_EQ(occ.Generation(), generation) << "rejected Acquire";
+  EXPECT_EQ(occ.Release(9), 0);
+  EXPECT_EQ(occ.Generation(), generation) << "Release of an id owning nothing";
+
+  EXPECT_EQ(occ.Release(7), amd.NodeCapacity());
+  EXPECT_NE(occ.Generation(), generation) << "freeing Release";
+  generation = occ.Generation();
+  EXPECT_EQ(occ.Release(7), 0);
+  EXPECT_EQ(occ.Generation(), generation) << "second Release";
 }
 
 }  // namespace

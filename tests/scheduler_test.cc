@@ -1,10 +1,12 @@
 // Tests for the multi-tenant MachineScheduler: concurrent containers with
 // disjoint hardware-thread sets, probe caching across re-placements, the
 // arrival -> probe -> place -> depart -> re-place lifecycle, the incremental
-// running set and tenant generation behind the replay's snapshot cache, and
-// the split-L3 (Zen) topology.
+// running set and tenant generation behind the replay's snapshot cache, the
+// realizability memo behind admission previews, and the split-L3 (Zen)
+// topology.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -227,6 +229,23 @@ TEST_F(SchedulerTest, RejectsLiveDuplicateIdsAndUnknownDepartures) {
   EXPECT_TRUE(scheduler.Submit(MakeRequest(1, "wc", 0.9), 5.0).admitted);
 }
 
+// Whether, for every important placement of `vcpus`, the scheduler's memo
+// holds exactly what a fresh RealizeAnywhereFree on its occupancy finds:
+// the same presence and the same thread list.
+::testing::AssertionResult MemoMatchesAFreshSearch(const MachineScheduler& scheduler,
+                                                   int vcpus) {
+  for (const ImportantPlacement& ip : scheduler.PlacementsFor(vcpus).placements) {
+    const std::optional<Placement>& memo = scheduler.RealizedOnFreeThreads(vcpus, ip.id);
+    const std::optional<Placement> fresh =
+        RealizeAnywhereFree(ip, scheduler.topology(), vcpus, scheduler.occupancy());
+    if (memo.has_value() != fresh.has_value() ||
+        (fresh.has_value() && memo->hw_threads != fresh->hw_threads)) {
+      return ::testing::AssertionFailure() << "placement #" << ip.id << " memo differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 // The running ids a from-scratch recount of Find() states over `ids`
 // (ascending) yields — what the scheduler's live running set must hold.
 std::vector<int> RecountRunning(const MachineScheduler& scheduler,
@@ -264,9 +283,11 @@ TEST_F(SchedulerTest, IncrementalTenantStateMatchesARecountAfterEveryStep) {
 
   TenantSnapshotCache cache(1);
   int unchanged = 0;
+  int occupancy_unchanged = 0;
   for (const FleetEvent& event : trace) {
     cache.Get(0, scheduler, multi);  // filled between events, as a replay does
     const uint64_t generation = scheduler.TenantGeneration();
+    const uint64_t occupancy_generation = scheduler.occupancy().Generation();
     scheduler.Step(event);
     ASSERT_EQ(scheduler.RunningIds(), RecountRunning(scheduler, ids))
         << ToString(event.kind()) << " at t=" << event.time_seconds;
@@ -275,11 +296,18 @@ TEST_F(SchedulerTest, IncrementalTenantStateMatchesARecountAfterEveryStep) {
     unchanged += scheduler.TenantGeneration() == generation ? 1 : 0;
     ASSERT_EQ(cache.Get(0, scheduler, multi), scheduler.SnapshotPerformance(multi))
         << ToString(event.kind()) << " at t=" << event.time_seconds;
+    // So must the realizability memo, filled after the previous step: an
+    // unchanged occupancy generation serves every slot from it.
+    occupancy_unchanged +=
+        scheduler.occupancy().Generation() == occupancy_generation ? 1 : 0;
+    ASSERT_TRUE(MemoMatchesAFreshSearch(scheduler, 16))
+        << ToString(event.kind()) << " at t=" << event.time_seconds;
   }
   EXPECT_GT(scheduler.stats().queued, 0);
   EXPECT_GT(scheduler.stats().admitted_from_queue, 0);
   EXPECT_GT(scheduler.stats().upgrades, 0);
   EXPECT_GT(unchanged, 0);
+  EXPECT_GT(occupancy_unchanged, 0);
 }
 
 TEST_F(SchedulerTest, AnUpgradeAloneMovesTheTenantGeneration) {

@@ -1111,6 +1111,18 @@ bool ParseMachineEventSpec(const char* spec, DomainScope* scope, int* index,
   return true;
 }
 
+// Parses a probe measurement for `predict`: the whole string is a finite
+// number > 0 (a throughput; the model divides by it).
+bool ParseProbeMeasurement(const char* text, double* value) {
+  char* end = nullptr;
+  const double parsed = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(parsed) || parsed <= 0.0) {
+    return false;
+  }
+  *value = parsed;
+  return true;
+}
+
 // Parses a --tiers override list: "<group>=<tier>[,<group>=<tier>...]",
 // where <tier> is an SloTier name (premium, standard, best-effort) and
 // <group> is the full service-group name the trace uses (including any
@@ -1200,7 +1212,15 @@ int main(int argc, char** argv) {
       return CmdTrain(argv[2], std::atoi(argv[3]), argv[4]);
     }
     if (command == "predict" && argc == 5) {
-      return CmdPredict(argv[2], std::atof(argv[3]), std::atof(argv[4]));
+      double perf[2] = {};
+      for (int i = 0; i < 2; ++i) {
+        if (!ParseProbeMeasurement(argv[3 + i], &perf[i])) {
+          std::fprintf(stderr, "probe measurement '%s' is not a finite number > 0\n",
+                       argv[3 + i]);
+          return 2;
+        }
+      }
+      return CmdPredict(argv[2], perf[0], perf[1]);
     }
     if (command == "migrate" && argc == 3) {
       return CmdMigrate(argv[2]);
