@@ -5,6 +5,7 @@
 #include <limits>
 #include <string>
 #include <numeric>
+#include <utility>
 
 #include "src/util/check.h"
 
@@ -28,14 +29,52 @@ void AppendMeanTargets(const Dataset& data, std::span<const size_t> rows,
   }
 }
 
+// Moves the elements of `slice` whose row goes left to its front and the
+// rest behind them, each part in its original order: std::stable_partition's
+// result, with `spill` (at least slice.size() long) holding the right part
+// meanwhile. Returns the size of the left part.
+template <typename T, typename GoesLeft>
+size_t StablePartition(std::span<T> slice, std::vector<T>& spill, GoesLeft goes_left) {
+  size_t left = 0;
+  size_t right = 0;
+  for (const T& element : slice) {
+    if (goes_left(element)) {
+      slice[left++] = element;
+    } else {
+      spill[right++] = element;
+    }
+  }
+  std::copy(spill.begin(), spill.begin() + static_cast<ptrdiff_t>(right),
+            slice.begin() + static_cast<ptrdiff_t>(left));
+  return left;
+}
+
 struct SplitCandidate {
   int feature = -1;
   double threshold = 0.0;
   double sse = std::numeric_limits<double>::infinity();  // left + right SSE
-  size_t left_count = 0;
 };
 
 }  // namespace
+
+// Node [begin, end) owns the same positions in `rows` and in every feature's
+// list in `sorted`. The root's lists are sorted by (value, row) once per fit;
+// each split stable-partitions every list by the row's side, so each part
+// stays sorted and a node's list is, element for element, what sorting its
+// own (value, row) pairs would give.
+struct RegressionTree::FitScratch {
+  std::vector<size_t> rows;  // the fit's rows, bootstrap duplicates included
+  // With n = rows.size(), feature j's (value, row) list is sorted[j * n, (j + 1) * n).
+  std::vector<std::pair<double, size_t>> sorted;
+  std::vector<char> goes_left;  // the current split's side, by dataset row
+  std::vector<size_t> row_spill;
+  std::vector<std::pair<double, size_t>> pair_spill;
+  std::vector<int> candidates;
+  std::vector<double> prefix_sum;
+  std::vector<double> total_sum;
+  std::vector<double> prefix_sq;
+  std::vector<double> total_sq;
+};
 
 void RegressionTree::Fit(const Dataset& data, std::span<const size_t> rows,
                          const TreeParams& params, Rng& rng) {
@@ -45,12 +84,34 @@ void RegressionTree::Fit(const Dataset& data, std::span<const size_t> rows,
   NP_CHECK(params.max_depth >= 1);
   NP_CHECK(params.min_samples_leaf >= 1);
   NP_CHECK(params.min_samples_split >= 2);
+  for (size_t row : rows) {
+    NP_CHECK(row < data.NumSamples());
+  }
   nodes_.clear();
   leaf_values_.clear();
   num_features_ = data.NumFeatures();
   num_targets_ = data.NumTargets();
-  std::vector<size_t> work(rows.begin(), rows.end());
-  BuildNode(data, work, 0, work.size(), /*depth=*/0, params, rng);
+
+  const size_t n = rows.size();
+  FitScratch scratch;
+  scratch.rows.assign(rows.begin(), rows.end());
+  scratch.sorted.resize(num_features_ * n);
+  for (size_t j = 0; j < num_features_; ++j) {
+    const auto list = scratch.sorted.begin() + static_cast<ptrdiff_t>(j * n);
+    for (size_t i = 0; i < n; ++i) {
+      list[static_cast<ptrdiff_t>(i)] = {data.features[rows[i]][j], rows[i]};
+    }
+    std::sort(list, list + static_cast<ptrdiff_t>(n));
+  }
+  scratch.goes_left.resize(data.NumSamples());
+  scratch.row_spill.resize(n);
+  scratch.pair_spill.resize(n);
+  scratch.candidates.resize(num_features_);
+  scratch.prefix_sum.resize(num_targets_);
+  scratch.total_sum.resize(num_targets_);
+  scratch.prefix_sq.resize(num_targets_);
+  scratch.total_sq.resize(num_targets_);
+  BuildNode(data, scratch, 0, n, /*depth=*/0, params, rng);
 }
 
 void RegressionTree::Fit(const Dataset& data, const TreeParams& params, Rng& rng) {
@@ -59,16 +120,17 @@ void RegressionTree::Fit(const Dataset& data, const TreeParams& params, Rng& rng
   Fit(data, rows, params, rng);
 }
 
-int RegressionTree::BuildNode(const Dataset& data, std::vector<size_t>& rows, size_t begin,
+int RegressionTree::BuildNode(const Dataset& data, FitScratch& scratch, size_t begin,
                               size_t end, int depth, const TreeParams& params, Rng& rng) {
   const size_t n = end - begin;
-  const size_t m = data.NumTargets();
+  const size_t m = num_targets_;
   const int node_index = static_cast<int>(nodes_.size());
   nodes_.emplace_back();
+  const std::span<size_t> rows(scratch.rows.data() + begin, n);
 
   auto make_leaf = [&]() {
     nodes_[static_cast<size_t>(node_index)].leaf = static_cast<int>(leaf_values_.size() / m);
-    AppendMeanTargets(data, std::span<const size_t>(rows.data() + begin, n), &leaf_values_);
+    AppendMeanTargets(data, rows, &leaf_values_);
     return node_index;
   };
 
@@ -77,24 +139,24 @@ int RegressionTree::BuildNode(const Dataset& data, std::vector<size_t>& rows, si
   }
 
   // Candidate features: all, or a uniform random subset of the given size.
-  std::vector<int> candidates(num_features_);
+  std::vector<int>& candidates = scratch.candidates;
   std::iota(candidates.begin(), candidates.end(), 0);
+  size_t num_candidates = num_features_;
   if (params.features_per_split > 0 &&
       params.features_per_split < static_cast<int>(num_features_)) {
     rng.Shuffle(candidates);
-    candidates.resize(static_cast<size_t>(params.features_per_split));
+    num_candidates = static_cast<size_t>(params.features_per_split);
   }
 
   // Scan each candidate feature for the threshold minimizing total SSE.
   SplitCandidate best;
-  std::vector<std::pair<double, size_t>> order(n);  // (feature value, row)
-  std::vector<double> prefix_sum(m);
-  std::vector<double> total_sum(m, 0.0);
-  std::vector<double> prefix_sq(m);
-  std::vector<double> total_sq(m, 0.0);
-
-  for (size_t i = 0; i < n; ++i) {
-    const size_t row = rows[begin + i];
+  std::vector<double>& prefix_sum = scratch.prefix_sum;
+  std::vector<double>& total_sum = scratch.total_sum;
+  std::vector<double>& prefix_sq = scratch.prefix_sq;
+  std::vector<double>& total_sq = scratch.total_sq;
+  std::fill(total_sum.begin(), total_sum.end(), 0.0);
+  std::fill(total_sq.begin(), total_sq.end(), 0.0);
+  for (size_t row : rows) {
     for (size_t k = 0; k < m; ++k) {
       const double y = data.targets[row][k];
       total_sum[k] += y;
@@ -102,13 +164,12 @@ int RegressionTree::BuildNode(const Dataset& data, std::vector<size_t>& rows, si
     }
   }
 
-  for (int feature : candidates) {
-    for (size_t i = 0; i < n; ++i) {
-      const size_t row = rows[begin + i];
-      order[i] = {data.features[row][static_cast<size_t>(feature)], row};
-    }
-    std::sort(order.begin(), order.end());
-    if (order.front().first == order.back().first) {
+  for (size_t c = 0; c < num_candidates; ++c) {
+    const int feature = candidates[c];
+    // This node's (value, row) pairs of the feature, sorted.
+    const std::pair<double, size_t>* order =
+        scratch.sorted.data() + static_cast<size_t>(feature) * scratch.rows.size() + begin;
+    if (order[0].first == order[n - 1].first) {
       continue;  // constant feature in this node
     }
     std::fill(prefix_sum.begin(), prefix_sum.end(), 0.0);
@@ -143,7 +204,6 @@ int RegressionTree::BuildNode(const Dataset& data, std::vector<size_t>& rows, si
         best.sse = sse;
         best.feature = feature;
         best.threshold = 0.5 * (order[i].first + order[i + 1].first);
-        best.left_count = left_n;
       }
     }
   }
@@ -152,18 +212,29 @@ int RegressionTree::BuildNode(const Dataset& data, std::vector<size_t>& rows, si
     return make_leaf();
   }
 
-  // Partition rows[begin, end) by the chosen split. std::stable_partition
-  // keeps the layout deterministic.
-  const auto mid_it = std::stable_partition(
-      rows.begin() + static_cast<ptrdiff_t>(begin), rows.begin() + static_cast<ptrdiff_t>(end),
-      [&](size_t row) {
-        return data.features[row][static_cast<size_t>(best.feature)] <= best.threshold;
-      });
-  const size_t mid = static_cast<size_t>(mid_it - rows.begin());
+  // Partition the node's rows, and every feature's list, by the side each
+  // row takes. The side comes from the row's value, not from the scan
+  // position: a rounded midpoint may equal the larger of its two values.
+  std::vector<char>& goes_left = scratch.goes_left;
+  for (size_t row : rows) {
+    goes_left[row] =
+        data.features[row][static_cast<size_t>(best.feature)] <= best.threshold ? 1 : 0;
+  }
+  const size_t mid = begin + StablePartition(rows, scratch.row_spill, [&](size_t row) {
+                       return goes_left[row] != 0;
+                     });
   NP_CHECK(mid > begin && mid < end);
+  for (size_t j = 0; j < num_features_; ++j) {
+    StablePartition(std::span<std::pair<double, size_t>>(
+                        scratch.sorted.data() + j * scratch.rows.size() + begin, n),
+                    scratch.pair_spill,
+                    [&](const std::pair<double, size_t>& entry) {
+                      return goes_left[entry.second] != 0;
+                    });
+  }
 
-  const int left = BuildNode(data, rows, begin, mid, depth + 1, params, rng);
-  const int right = BuildNode(data, rows, mid, end, depth + 1, params, rng);
+  const int left = BuildNode(data, scratch, begin, mid, depth + 1, params, rng);
+  const int right = BuildNode(data, scratch, mid, end, depth + 1, params, rng);
   Node& node = nodes_[static_cast<size_t>(node_index)];
   node.feature = best.feature;
   node.threshold = best.threshold;

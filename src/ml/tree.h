@@ -68,7 +68,12 @@ class RegressionTree {
     int leaf = -1;
   };
 
-  int BuildNode(const Dataset& data, std::vector<size_t>& rows, size_t begin, size_t end,
+  // One fit's working state: the fit's rows and each feature's presorted
+  // (value, row) list, both partitioned node by node, plus the buffers the
+  // split search reuses. Defined in tree.cc.
+  struct FitScratch;
+
+  int BuildNode(const Dataset& data, FitScratch& scratch, size_t begin, size_t end,
                 int depth, const TreeParams& params, Rng& rng);
 
   std::vector<Node> nodes_;

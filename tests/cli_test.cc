@@ -154,6 +154,15 @@ TEST(CliMisuse, RejectsUnusableInputBeforeTraining) {
       "schedule amd 0 2",
       "schedule amd 999 2",
       "fleet amd,intel 0 2",
+      // Integer arguments with trailing text, or outside int's range.
+      "placements amd 16abc",
+      "train amd 16x " + model_path,
+      "schedule amd 16x 2",
+      "schedule amd 16 2x first-fit",
+      "fleet amd,intel 16 2x first-fit",
+      "fleet amd,intel 16 2 --cells 4294967298",
+      "fleet amd,intel 16 2 --fail 4294967296@5",
+      "placements amd 99999999999",
       // Sizes with no balanced spread over the machine's nodes or caches.
       "placements amd 63",
       "placements intel 25",

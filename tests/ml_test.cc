@@ -7,12 +7,14 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/ml/dataset.h"
@@ -133,6 +135,235 @@ TEST(RegressionTree, ConstantTargetsGiveSingleLeaf) {
 TEST(RegressionTree, PredictBeforeFitThrows) {
   RegressionTree tree;
   EXPECT_THROW(tree.Predict(std::vector<double>{1.0}), std::logic_error);
+}
+
+// The plain CART builder, as the reference for RegressionTree::Fit: at every
+// node it gathers each candidate feature's (value, row) pairs and sorts them
+// afresh, and it splits the node's rows with std::stable_partition. It
+// writes RegressionTree::SerializeTo's text.
+class ReferenceTree {
+ public:
+  ReferenceTree(const Dataset& data, const TreeParams& params, Rng& rng)
+      : data_(data), params_(params), rng_(rng) {}
+
+  std::string Fit(std::vector<size_t> rows) {
+    rows_ = std::move(rows);
+    Build(0, rows_.size(), 0);
+    std::ostringstream text;
+    text << "tree " << nodes_.size() << " " << data_.NumFeatures() << "\n";
+    text.precision(17);
+    for (const Node& node : nodes_) {
+      text << node.feature << " " << node.threshold << " " << node.left << " " << node.right
+           << " " << node.mean.size();
+      for (double v : node.mean) {
+        text << " " << v;
+      }
+      text << "\n";
+    }
+    return text.str();
+  }
+
+ private:
+  struct Node {
+    int feature = -1;
+    double threshold = 0.0;
+    int left = -1;
+    int right = -1;
+    std::vector<double> mean;  // leaves only
+  };
+
+  int Build(size_t begin, size_t end, int depth) {
+    const size_t n = end - begin;
+    const size_t m = data_.NumTargets();
+    const size_t d = data_.NumFeatures();
+    const int index = static_cast<int>(nodes_.size());
+    nodes_.emplace_back();
+    const auto leaf = [&] {
+      std::vector<double> mean(m, 0.0);
+      for (size_t i = begin; i < end; ++i) {
+        for (size_t k = 0; k < m; ++k) {
+          mean[k] += data_.targets[rows_[i]][k];
+        }
+      }
+      for (double& v : mean) {
+        v /= static_cast<double>(n);
+      }
+      nodes_[static_cast<size_t>(index)].mean = mean;
+      return index;
+    };
+    if (n < static_cast<size_t>(params_.min_samples_split) || depth >= params_.max_depth) {
+      return leaf();
+    }
+    std::vector<int> candidates(d);
+    std::iota(candidates.begin(), candidates.end(), 0);
+    if (params_.features_per_split > 0 && params_.features_per_split < static_cast<int>(d)) {
+      rng_.Shuffle(candidates);
+      candidates.resize(static_cast<size_t>(params_.features_per_split));
+    }
+    std::vector<double> total_sum(m, 0.0);
+    std::vector<double> total_sq(m, 0.0);
+    for (size_t i = begin; i < end; ++i) {
+      for (size_t k = 0; k < m; ++k) {
+        const double y = data_.targets[rows_[i]][k];
+        total_sum[k] += y;
+        total_sq[k] += y * y;
+      }
+    }
+    int best_feature = -1;
+    double best_threshold = 0.0;
+    double best_sse = std::numeric_limits<double>::infinity();
+    for (int feature : candidates) {
+      std::vector<std::pair<double, size_t>> order;
+      for (size_t i = begin; i < end; ++i) {
+        order.emplace_back(data_.features[rows_[i]][static_cast<size_t>(feature)], rows_[i]);
+      }
+      std::sort(order.begin(), order.end());
+      if (order.front().first == order.back().first) {
+        continue;
+      }
+      std::vector<double> prefix_sum(m, 0.0);
+      std::vector<double> prefix_sq(m, 0.0);
+      for (size_t i = 0; i + 1 < n; ++i) {
+        for (size_t k = 0; k < m; ++k) {
+          const double y = data_.targets[order[i].second][k];
+          prefix_sum[k] += y;
+          prefix_sq[k] += y * y;
+        }
+        const size_t left_n = i + 1;
+        const size_t right_n = n - left_n;
+        if (left_n < static_cast<size_t>(params_.min_samples_leaf) ||
+            right_n < static_cast<size_t>(params_.min_samples_leaf) ||
+            order[i].first == order[i + 1].first) {
+          continue;
+        }
+        double sse = 0.0;
+        for (size_t k = 0; k < m; ++k) {
+          const double ls = prefix_sum[k];
+          const double rs = total_sum[k] - ls;
+          const double lq = prefix_sq[k];
+          const double rq = total_sq[k] - lq;
+          sse += lq - ls * ls / static_cast<double>(left_n);
+          sse += rq - rs * rs / static_cast<double>(right_n);
+        }
+        if (sse < best_sse) {
+          best_sse = sse;
+          best_feature = feature;
+          best_threshold = 0.5 * (order[i].first + order[i + 1].first);
+        }
+      }
+    }
+    if (best_feature < 0) {
+      return leaf();
+    }
+    const auto first = rows_.begin() + static_cast<ptrdiff_t>(begin);
+    const auto mid = static_cast<size_t>(
+        std::stable_partition(first, rows_.begin() + static_cast<ptrdiff_t>(end),
+                              [&](size_t row) {
+                                return data_.features[row][static_cast<size_t>(
+                                           best_feature)] <= best_threshold;
+                              }) -
+        rows_.begin());
+    if (mid == begin || mid == end) {
+      throw std::logic_error("empty side");  // RegressionTree's NP_CHECK
+    }
+    const int left = Build(begin, mid, depth + 1);
+    const int right = Build(mid, end, depth + 1);
+    Node& node = nodes_[static_cast<size_t>(index)];
+    node.feature = best_feature;
+    node.threshold = best_threshold;
+    node.left = left;
+    node.right = right;
+    return index;
+  }
+
+  const Dataset& data_;
+  const TreeParams& params_;
+  Rng& rng_;
+  std::vector<size_t> rows_;
+  std::vector<Node> nodes_;
+};
+
+// Four features: few distinct values (runs of ties), a constant column, a
+// continuous column, and a column of adjacent doubles, whose rounded
+// midpoints can equal the larger value; `duplicates` rows copy earlier ones.
+Dataset MakeSplitSearchData(Rng& rng, size_t rows, size_t targets, size_t duplicates) {
+  Dataset data;
+  for (size_t i = 0; i < rows; ++i) {
+    const double a = static_cast<double>(rng.NextBelow(4));
+    double c = 1.0;
+    for (uint64_t steps = rng.NextBelow(6); steps > 0; --steps) {
+      c = std::nextafter(c, 2.0);
+    }
+    const double x = rng.NextDouble();
+    data.features.push_back({a, 7.5, x, c});
+    std::vector<double> y(targets);
+    for (size_t k = 0; k < targets; ++k) {
+      y[k] = a * static_cast<double>(k % 3) + x * static_cast<double>(k + 1) +
+             (c > 1.0 ? 0.5 : 0.0) + rng.NextGaussian(0.0, 0.1);
+    }
+    data.targets.push_back(y);
+  }
+  for (size_t i = 0; i < duplicates; ++i) {
+    data.features.push_back(data.features[i]);
+    data.targets.push_back(data.targets[i]);
+  }
+  return data;
+}
+
+TEST(RegressionTree, PresortedSearchMatchesThePerNodeSortReference) {
+  int fits = 0;
+  int failures = 0;
+  for (const size_t targets : {1u, 13u}) {
+    for (const uint64_t seed : {1u, 2u, 3u}) {
+      Rng data_rng(seed);
+      const Dataset data = MakeSplitSearchData(data_rng, 60 + 40 * seed, targets, 12);
+      // Every row once, and a bootstrap sample (duplicate rows).
+      std::vector<size_t> all(data.NumSamples());
+      std::iota(all.begin(), all.end(), 0);
+      std::vector<size_t> bootstrap(data.NumSamples());
+      for (size_t& row : bootstrap) {
+        row = static_cast<size_t>(data_rng.NextBelow(data.NumSamples()));
+      }
+      for (const int leaf : {1, 2, 5}) {
+        for (const int depth : {1, 3, 12}) {
+          for (const int per_split : {0, 1, 2}) {
+            SCOPED_TRACE(std::to_string(targets) + " targets, seed " + std::to_string(seed) +
+                         ", leaf " + std::to_string(leaf) + ", depth " +
+                         std::to_string(depth) + ", " + std::to_string(per_split) +
+                         " features per split");
+            TreeParams params;
+            params.min_samples_leaf = leaf;
+            params.max_depth = depth;
+            params.features_per_split = per_split;
+            for (const std::vector<size_t>& rows : {all, bootstrap}) {
+              ++fits;
+              Rng reference_rng(seed + 20);
+              Rng rng(seed + 20);
+              std::string expected;
+              try {
+                expected = ReferenceTree(data, params, reference_rng).Fit(rows);
+              } catch (const std::logic_error&) {
+                // A midpoint that rounds to a node's largest value leaves one
+                // side empty; the kernel rejects that split the same way.
+                ++failures;
+                RegressionTree tree;
+                EXPECT_THROW(tree.Fit(data, rows, params, rng), std::logic_error);
+                continue;
+              }
+              RegressionTree tree;
+              tree.Fit(data, rows, params, rng);
+              std::ostringstream text;
+              tree.SerializeTo(text);
+              ASSERT_EQ(text.str(), expected);
+              // Both drew the same candidate shuffles.
+              EXPECT_EQ(rng.NextU64(), reference_rng.NextU64());
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_LT(failures * 4, fits) << failures << " of " << fits << " fits threw";
 }
 
 TEST(RandomForest, LearnsNoisyLinearFunction) {

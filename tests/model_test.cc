@@ -12,6 +12,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -239,6 +240,26 @@ TEST(PairSearchExactness, MatchesTheSerialFirstStrictMinimum) {
                   ModelText(pipeline.TrainPerf(workloads, best.first, best.second, config)));
       }
     }
+  }
+}
+
+// The full-size models `numaplace_cli train amd|intel 16 <file>` writes, by
+// the CLI's recipe: 72 workloads drawn from Rng(7), pipeline seed 42,
+// simulator noise 0.015 with seed 1, baseline #1 on AMD and #2 on Intel, the
+// default config. Each pin is the FNV-1a above of the file's bytes.
+TEST(FullSizeModel, CliTrainingRecipeTextIsPinned) {
+  const std::vector<std::tuple<Topology, int, uint64_t>> machines = {
+      {AmdOpteron6272(), 1, 0x1afb8e9a594aed2fULL},
+      {IntelXeonE74830v3(), 2, 0x77d70dec2be29e35ULL}};
+  for (const auto& [topo, baseline, pin] : machines) {
+    const ImportantPlacementSet ips =
+        GenerateImportantPlacements(topo, 16, InterconnectIsAsymmetric(topo));
+    const PerformanceModel sim(topo, 0.015, 1);
+    const ModelPipeline pipeline(ips, sim, baseline, 42);
+    Rng rng(7);
+    const TrainedPerfModel model =
+        pipeline.TrainPerfAuto(SampleTrainingWorkloads(72, rng), PerfModelConfig{});
+    EXPECT_EQ(Fnv1a(ModelText(model)), pin) << topo.name();
   }
 }
 

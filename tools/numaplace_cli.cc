@@ -65,9 +65,12 @@
 //
 // Machines: amd (Opteron 6272), intel (Xeon E7-4830 v3), zen, cod.
 #include <algorithm>
+#include <cerrno>
 #include <cinttypes>
+#include <climits>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -1098,8 +1101,9 @@ bool ParseMachineEventSpec(const char* spec, DomainScope* scope, int* index,
     return false;
   }
   char* end = nullptr;
+  errno = 0;
   const long parsed = std::strtol(spec, &end, 10);
-  if (end != at || parsed < 0) {
+  if (end != at || errno == ERANGE || parsed < 0 || parsed > INT_MAX) {
     return false;
   }
   const double time = std::strtod(at + 1, &end);
@@ -1109,6 +1113,31 @@ bool ParseMachineEventSpec(const char* spec, DomainScope* scope, int* index,
   *index = static_cast<int>(parsed);
   *time_seconds = time;
   return true;
+}
+
+// Parses an integer argument: the whole string is a decimal integer in int's
+// range (std::atoi would take "16abc" as 16 and wrap 99999999999).
+bool ParseInt(const char* text, int* value) {
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || parsed < INT_MIN ||
+      parsed > INT_MAX) {
+    return false;
+  }
+  *value = static_cast<int>(parsed);
+  return true;
+}
+
+// Parses the positional integer argument `name` into `value`, or prints why
+// it cannot.
+bool ParseIntArg(const char* name, const char* text, int* value) {
+  if (ParseInt(text, value)) {
+    return true;
+  }
+  std::fprintf(stderr, "<%s> '%s' is not an integer between %d and %d\n", name, text,
+               INT_MIN, INT_MAX);
+  return false;
 }
 
 // Parses a probe measurement for `predict`: the whole string is a finite
@@ -1202,14 +1231,21 @@ int main(int argc, char** argv) {
   }
   const std::string command = argv[1];
   try {
+    int vcpus = 0;
     if (command == "placements" && argc == 4) {
-      return CmdPlacements(argv[2], std::atoi(argv[3]));
+      if (!ParseIntArg("vcpus", argv[3], &vcpus)) {
+        return 2;
+      }
+      return CmdPlacements(argv[2], vcpus);
     }
     if (command == "concerns" && argc == 3) {
       return CmdConcerns(argv[2]);
     }
     if (command == "train" && argc == 5) {
-      return CmdTrain(argv[2], std::atoi(argv[3]), argv[4]);
+      if (!ParseIntArg("vcpus", argv[3], &vcpus)) {
+        return 2;
+      }
+      return CmdTrain(argv[2], vcpus, argv[4]);
     }
     if (command == "predict" && argc == 5) {
       double perf[2] = {};
@@ -1228,7 +1264,12 @@ int main(int argc, char** argv) {
     if (command == "policies" && argc == 2) {
       return CmdPolicies();
     }
+    int containers = 0;
     if (command == "schedule" && argc >= 5 && argc <= 7) {
+      if (!ParseIntArg("vcpus", argv[3], &vcpus) ||
+          !ParseIntArg("containers", argv[4], &containers)) {
+        return 2;
+      }
       // Optional trailing args in either order: a number is the trace seed, a
       // word is the policy name. Two of the same kind is a usage error, not a
       // silent overwrite.
@@ -1257,13 +1298,17 @@ int main(int argc, char** argv) {
           have_policy = true;
         }
       }
-      return CmdSchedule(argv[2], std::atoi(argv[3]), std::atoi(argv[4]), seed, policy);
+      return CmdSchedule(argv[2], vcpus, containers, seed, policy);
     }
     if (command == "fleet" && argc >= 5) {
       // Optional trailing args in any order: a number is the trace seed, a
       // dispatch-policy name picks the dispatcher, a scheduling-policy name
       // picks every machine's policy, and repeatable --fail/--drain/--rejoin
       // flags script machine events. Two of the same kind is a usage error.
+      if (!ParseIntArg("vcpus", argv[3], &vcpus) ||
+          !ParseIntArg("containers-per-machine", argv[4], &containers)) {
+        return 2;
+      }
       uint64_t seed = 11;
       std::string dispatch = "least-loaded";
       std::string policy = "model";
@@ -1380,10 +1425,10 @@ int main(int argc, char** argv) {
             std::strcmp(argv[i], "--burst-containers") == 0;
         if (is_cells || is_probes || is_fleet_probes || is_racks || is_zones ||
             is_spread_cap || is_defer_limit || is_bursts || is_burst_containers) {
-          char* end = nullptr;
-          const long parsed = i + 1 < argc ? std::strtol(argv[i + 1], &end, 10) : 0;
-          if (i + 1 >= argc || end == argv[i + 1] || *end != '\0' || parsed <= 0) {
-            std::fprintf(stderr, "%s needs a positive integer\n", argv[i]);
+          int parsed = 0;
+          if (i + 1 >= argc || !ParseInt(argv[i + 1], &parsed) || parsed <= 0) {
+            std::fprintf(stderr, "%s needs a positive integer no larger than %d\n", argv[i],
+                         INT_MAX);
             return 2;
           }
           ++i;
@@ -1395,7 +1440,7 @@ int main(int argc, char** argv) {
            : is_defer_limit      ? admission.defer_limit
            : is_bursts           ? admission.bursts
            : is_burst_containers ? admission.burst_containers
-                                 : fleet_probes) = static_cast<int>(parsed);
+                                 : fleet_probes) = parsed;
           continue;
         }
         if (std::strcmp(argv[i], "--spread-weight") == 0) {
@@ -1484,10 +1529,10 @@ int main(int argc, char** argv) {
           !admission.flash_crowd) {
         admission.flash_crowd = true;  // the spike knobs imply the trace shape
       }
-      return CmdFleet(argv[2], std::atoi(argv[3]), std::atoi(argv[4]), seed, dispatch,
-                      policy, machine_events, sharded_cells, sharded_probes,
-                      full_scan_ops, fleet_probes, domain_racks, domain_zones,
-                      spread_weight, spread_cap, admission, output);
+      return CmdFleet(argv[2], vcpus, containers, seed, dispatch, policy, machine_events,
+                      sharded_cells, sharded_probes, full_scan_ops, fleet_probes,
+                      domain_racks, domain_zones, spread_weight, spread_cap, admission,
+                      output);
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
