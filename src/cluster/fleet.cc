@@ -49,17 +49,23 @@ FleetScheduler::FleetScheduler(std::vector<MachineSpec> specs, FleetConfig confi
   machines_.reserve(specs.size());
   for (size_t i = 0; i < specs.size(); ++i) {
     Machine machine;
-    machine.group = specs[i].topo.name();
+    while (machine.group < groups_.size() &&
+           groups_[machine.group].name != specs[i].topo.name()) {
+      ++machine.group;
+    }
+    if (machine.group == groups_.size()) {
+      Group group;
+      group.name = specs[i].topo.name();
+      group.registry = std::make_unique<ModelRegistry>();
+      groups_.push_back(std::move(group));
+    }
+    Group& group = groups_[machine.group];
+    group.machine_ids.push_back(static_cast<int>(i));
     machine.topo = std::make_unique<Topology>(std::move(specs[i].topo));
     machine.solo = std::make_unique<PerformanceModel>(
         *machine.topo, config_.noise_sigma, config_.noise_seed + i);
     machine.multi = std::make_unique<MultiTenantModel>(
         *machine.topo, config_.noise_sigma, config_.noise_seed + i);
-    Group& group = groups_[machine.group];
-    if (group.registry == nullptr) {
-      group.registry = std::make_unique<ModelRegistry>();
-    }
-    group.machine_ids.push_back(static_cast<int>(i));
     machine.scheduler = std::make_unique<MachineScheduler>(
         *machine.topo, *machine.solo, group.registry.get(), specs[i].scheduler);
     machines_.push_back(std::move(machine));
@@ -157,25 +163,29 @@ MachineAvailability FleetScheduler::availability(int machine_id) const {
 
 std::vector<std::string> FleetScheduler::GroupNames() const {
   std::vector<std::string> names;
-  for (const Machine& machine : machines_) {
-    if (std::find(names.begin(), names.end(), machine.group) == names.end()) {
-      names.push_back(machine.group);
-    }
+  for (const Group& group : groups_) {
+    names.push_back(group.name);
   }
   return names;
 }
 
+FleetScheduler::Group& FleetScheduler::GroupNamed(const std::string& name) {
+  for (Group& group : groups_) {
+    if (group.name == name) {
+      return group;
+    }
+  }
+  NP_CHECK_MSG(false, "no machine of topology '" << name << "' in the fleet");
+  __builtin_unreachable();
+}
+
 ModelRegistry& FleetScheduler::GroupRegistry(const std::string& group) {
-  const auto it = groups_.find(group);
-  NP_CHECK_MSG(it != groups_.end(), "no machine of topology '" << group << "' in the fleet");
-  return *it->second.registry;
+  return *GroupNamed(group).registry;
 }
 
 void FleetScheduler::ProvidePlacements(const std::string& group,
                                        const ImportantPlacementSet& ips) {
-  const auto it = groups_.find(group);
-  NP_CHECK_MSG(it != groups_.end(), "no machine of topology '" << group << "' in the fleet");
-  for (int m : it->second.machine_ids) {
+  for (int m : GroupNamed(group).machine_ids) {
     machines_[static_cast<size_t>(m)].scheduler->ProvidePlacements(ips);
   }
 }
@@ -198,9 +208,8 @@ const Migrator& FleetScheduler::MigratorFor(const ContainerRequest& request) con
                                    : static_cast<const Migrator&>(fast_migrator_);
 }
 
-void FleetScheduler::EnsureGroupProbes(const std::string& group,
-                                       const ContainerRequest& request) {
-  for (int m : groups_.at(group).machine_ids) {
+void FleetScheduler::EnsureGroupProbes(size_t group, const ContainerRequest& request) {
+  for (int m : groups_[group].machine_ids) {
     Machine& machine = machines_[static_cast<size_t>(m)];
     // A failed or draining machine runs nothing, probes included.
     if (machine.availability != MachineAvailability::kUp) {
@@ -245,12 +254,12 @@ std::vector<MachineCandidate> FleetScheduler::BuildCandidates(
   if (with_previews) {
     // Probe a group only when an up machine of it under consideration could
     // take the container — a preselection never probes groups outside it.
-    std::set<std::string> probed;
+    std::vector<char> probed(groups_.size(), 0);
     for (int m : machine_ids) {
       const Machine& machine = machines_[static_cast<size_t>(m)];
       if (machine.availability == MachineAvailability::kUp &&
-          request.vcpus <= machine.topo->NumHwThreads() &&
-          probed.insert(machine.group).second) {
+          request.vcpus <= machine.topo->NumHwThreads() && probed[machine.group] == 0) {
+        probed[machine.group] = 1;
         EnsureGroupProbes(machine.group, request);
       }
     }
@@ -370,6 +379,18 @@ void FleetScheduler::RecordAdmission(const ScheduleOutcome& outcome, double now)
   ++stats_.queue_admissions;
 }
 
+void FleetScheduler::SetTier(int container_id, SloTier tier) {
+  NP_CHECK_MSG(container_id >= 0, "container id " << container_id << " is negative");
+  const size_t id = static_cast<size_t>(container_id);
+  if (id >= tiers_.size()) {
+    if (tier == SloTier::kStandard) {
+      return;  // past the end already reads standard
+    }
+    tiers_.resize(id + 1, SloTier::kStandard);
+  }
+  tiers_[id] = tier;
+}
+
 const AdmissionPolicy& FleetScheduler::admission() const {
   NP_CHECK_MSG(admission_ != nullptr, "no admission policy is configured");
   return *admission_;
@@ -403,8 +424,7 @@ AdmissionContext FleetScheduler::BuildAdmissionContext(
   // A preemption victim exists when some waiting container is best-effort;
   // waiting_ is a sorted set, so the scan (early-exited) is deterministic.
   for (const int id : waiting_) {
-    const auto it = tier_of_.find(id);
-    if (it != tier_of_.end() && it->second == SloTier::kBestEffort) {
+    if (ContainerTier(id) == SloTier::kBestEffort) {
       ctx.queued_best_effort = true;
       break;
     }
@@ -415,8 +435,7 @@ AdmissionContext FleetScheduler::BuildAdmissionContext(
 void FleetScheduler::PreemptQueuedBestEffort(double now, EventObserver* observer) {
   int victim = kNoMachine;
   for (const int id : waiting_) {
-    const auto it = tier_of_.find(id);
-    if (it != tier_of_.end() && it->second == SloTier::kBestEffort) {
+    if (ContainerTier(id) == SloTier::kBestEffort) {
       victim = id;
       break;
     }
@@ -450,9 +469,9 @@ void FleetScheduler::PreemptQueuedBestEffort(double now, EventObserver* observer
   }
   waiting_.erase(victim);
   submit_time_.erase(victim);
-  tier_of_.erase(victim);
-  for (auto& [group, members] : groups_) {
-    members.registry->Forget(victim);
+  SetTier(victim, SloTier::kStandard);
+  for (Group& group : groups_) {
+    group.registry->Forget(victim);
   }
   // The victim counts as a best-effort rejection (preemption is how the
   // rejection happened), and its future trace departure becomes a no-op.
@@ -568,7 +587,7 @@ FleetOutcome FleetScheduler::Submit(const ContainerRequest& request, double now,
         // retries it the next time capacity may have returned.
         ++stats_.tier_deferred[t];
         ++stats_.queued;
-        tier_of_[request.id] = tier;
+        SetTier(request.id, tier);
         submit_time_[request.id] = now;
         unplaced_[request.id] = request;
         waiting_.insert(request.id);
@@ -585,7 +604,7 @@ FleetOutcome FleetScheduler::Submit(const ContainerRequest& request, double now,
         [[fallthrough]];
       case AdmissionDecision::kAdmit:
         ++stats_.tier_admitted[t];
-        tier_of_[request.id] = tier;
+        SetTier(request.id, tier);
         break;
     }
   }
@@ -607,9 +626,9 @@ void FleetScheduler::Depart(int container_id, double now, EventObserver* observe
     // Departed while waiting fleet-wide: nothing was held anywhere.
     waiting_.erase(container_id);
     submit_time_.erase(container_id);
-    tier_of_.erase(container_id);
-    for (auto& [group, members] : groups_) {
-      members.registry->Forget(container_id);
+    SetTier(container_id, SloTier::kStandard);
+    for (Group& group : groups_) {
+      group.registry->Forget(container_id);
     }
     if (observer != nullptr) {
       observer->OnDeparture(kNoMachine, container_id, now);
@@ -631,14 +650,14 @@ void FleetScheduler::Depart(int container_id, double now, EventObserver* observe
     capacity_index_.MarkCapacityChanged();
   }
   // Dispatch previews may have cached probes in other topology groups too.
-  for (auto& [group, members] : groups_) {
-    members.registry->Forget(container_id);
+  for (Group& group : groups_) {
+    group.registry->Forget(container_id);
   }
   machine_of_.erase(container_id);
   domain_occupancy_->Remove(container_id);
   waiting_.erase(container_id);
   submit_time_.erase(container_id);
-  tier_of_.erase(container_id);
+  SetTier(container_id, SloTier::kStandard);
   if (observer != nullptr) {
     observer->OnDeparture(machine_id, container_id, now);
   }
@@ -1189,9 +1208,7 @@ FleetReport FleetScheduler::ReplayWithEvaluation(const EventStream& trace,
   std::array<double, kNumSloTiers> tier_attainment{};
   std::array<double, kNumSloTiers> tier_seconds{};
   const auto tier_index = [this](int container_id) {
-    const auto it = tier_of_.find(container_id);
-    return static_cast<size_t>(it == tier_of_.end() ? SloTier::kStandard
-                                                    : it->second);
+    return static_cast<size_t>(ContainerTier(container_id));
   };
   // Next snapshot instant; the first sample lands at one full interval.
   double next_sample = sampler != nullptr ? sampler->IntervalSeconds() : 0.0;

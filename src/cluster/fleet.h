@@ -355,6 +355,13 @@ class FleetScheduler {
   /// tier_overrides entry for its service group when present, else the
   /// `<tier>:<base>` naming convention, else standard.
   SloTier TierOf(const std::string& workload_name) const;
+  /// The tier the per-tier accumulators of ReplayWithEvaluation charge a
+  /// container with: its TierOf from admission until it departs or is
+  /// shed, standard otherwise (always standard with admission off).
+  SloTier ContainerTier(int container_id) const {
+    const size_t id = static_cast<size_t>(container_id);
+    return id < tiers_.size() ? tiers_[id] : SloTier::kStandard;
+  }
   /// Container ids the admission layer rejected (arrival sheds and
   /// preemption victims); their later trace departure events are no-ops.
   const std::set<int>& RejectedIds() const { return rejected_; }
@@ -373,13 +380,17 @@ class FleetScheduler {
     std::unique_ptr<PerformanceModel> solo;
     std::unique_ptr<MultiTenantModel> multi;
     std::unique_ptr<MachineScheduler> scheduler;
-    std::string group;
+    size_t group = 0;  // index into groups_
     MachineAvailability availability = MachineAvailability::kUp;
   };
   struct Group {
+    std::string name;  // the machines' topology name
     std::unique_ptr<ModelRegistry> registry;
     std::vector<int> machine_ids;  // first up machine runs the group's probes
   };
+
+  // The group of that topology name (CHECKs it exists).
+  Group& GroupNamed(const std::string& name);
 
   // Advances every machine's stats clock to `now` so per-machine utilization
   // averages integrate over the same span. Skipped when the fleet already
@@ -387,9 +398,12 @@ class FleetScheduler {
   // so the skip changes no result and saves the machine walk).
   void SyncClocks(double now);
 
-  // Probes the container once for the group when its registry lacks a
+  // Probes the container once for groups_[group] when its registry lacks a
   // prediction and any up machine needs the model, charging the fleet stats.
-  void EnsureGroupProbes(const std::string& group, const ContainerRequest& request);
+  void EnsureGroupProbes(size_t group, const ContainerRequest& request);
+
+  // Sets or resets (to standard) the container's entry in tiers_.
+  void SetTier(int container_id, SloTier tier);
 
   // Candidate views (available machines the container fits on — possibly
   // none) for one dispatch decision; probes the groups of the candidate
@@ -492,10 +506,13 @@ class FleetScheduler {
   // their trace departure events are silent no-ops. Always empty with
   // admission off.
   std::set<int> rejected_;
-  // Tier of every live or waiting container, for the per-tier attainment
-  // accumulators in ReplayWithEvaluation. Only maintained while admission
-  // is active (the per-tier report is all-standard otherwise).
-  std::map<int, SloTier> tier_of_;
+  // Tier of every live or waiting container by container id, for the
+  // per-tier attainment accumulators in ReplayWithEvaluation; an id past
+  // the end, or one not live, reads standard. Trace ids are dense, so the
+  // table holds one entry per id up to the largest admitted. Only written
+  // while admission is active (the per-tier report is all-standard
+  // otherwise).
+  std::vector<SloTier> tiers_;
   std::vector<Machine> machines_;
   // Long-lived membership view handed to the dispatch policy via
   // BindMembership; availability entries mirror machines_[].availability.
@@ -516,7 +533,7 @@ class FleetScheduler {
   // Per-service-group domain occupancy, updated alongside machine_of_;
   // heap-allocated likewise (BindDomains hands the policy its address).
   std::unique_ptr<DomainOccupancy> domain_occupancy_;
-  std::map<std::string, Group> groups_;
+  std::vector<Group> groups_;  // in the order of their first machine
   std::map<int, int> machine_of_;      // containers live on some machine
   std::map<int, ContainerRequest> unplaced_;  // waiting fleet-wide, no machine
   std::map<int, double> submit_time_;

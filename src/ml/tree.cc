@@ -55,6 +55,15 @@ struct SplitCandidate {
   double sse = std::numeric_limits<double>::infinity();  // left + right SSE
 };
 
+// Threshold of a split between adjacent sorted values a < b: their
+// midpoint, or a when the midpoint rounds up to b (as it can for adjacent
+// doubles), so that rows at a go left and rows at b go right — the split
+// whose SSE the scan measured.
+double SplitThreshold(double a, double b) {
+  const double mid = 0.5 * (a + b);
+  return mid < b ? mid : a;
+}
+
 }  // namespace
 
 // Node [begin, end) owns the same positions in `rows` and in every feature's
@@ -203,7 +212,7 @@ int RegressionTree::BuildNode(const Dataset& data, FitScratch& scratch, size_t b
       if (sse < best.sse) {
         best.sse = sse;
         best.feature = feature;
-        best.threshold = 0.5 * (order[i].first + order[i + 1].first);
+        best.threshold = SplitThreshold(order[i].first, order[i + 1].first);
       }
     }
   }
@@ -213,8 +222,8 @@ int RegressionTree::BuildNode(const Dataset& data, FitScratch& scratch, size_t b
   }
 
   // Partition the node's rows, and every feature's list, by the side each
-  // row takes. The side comes from the row's value, not from the scan
-  // position: a rounded midpoint may equal the larger of its two values.
+  // row takes, from the row's value (SplitThreshold keeps that equal to the
+  // scan position).
   std::vector<char>& goes_left = scratch.goes_left;
   for (size_t row : rows) {
     goes_left[row] =

@@ -24,11 +24,11 @@ void ModelRegistry::SaveTextTo(const std::string& machine, int vcpus,
 }
 
 bool ModelRegistry::Has(const std::string& machine, int vcpus) const {
-  return models_.count({machine, vcpus}) > 0;
+  return models_.contains(std::pair<std::string_view, int>(machine, vcpus));
 }
 
 const TrainedPerfModel& ModelRegistry::Get(const std::string& machine, int vcpus) const {
-  const auto it = models_.find({machine, vcpus});
+  const auto it = models_.find(std::pair<std::string_view, int>(machine, vcpus));
   NP_CHECK_MSG(it != models_.end(),
                "no model registered for (" << machine << ", " << vcpus << " vCPUs)");
   return it->second;
@@ -39,17 +39,17 @@ const CachedPrediction& ModelRegistry::Predict(int container_id,
                                                double perf_a, double perf_b) {
   NP_CHECK(container_id >= 0);
   const TrainedPerfModel& model = Get(machine, vcpus);
-  CachedPrediction entry;
-  entry.perf_a = perf_a;
-  entry.perf_b = perf_b;
-  entry.input_a = model.input_a;
-  entry.input_b = model.input_b;
-  entry.predicted_relative = model.Predict(perf_a, perf_b);
+  Entry entry;
+  entry.prediction.perf_a = perf_a;
+  entry.prediction.perf_b = perf_b;
+  entry.prediction.input_a = model.input_a;
+  entry.prediction.input_b = model.input_b;
+  entry.prediction.predicted_relative = model.Predict(perf_a, perf_b);
   const auto [it, inserted] = predictions_.emplace(container_id, std::move(entry));
   NP_CHECK_MSG(inserted, "container " << container_id
                                       << " already has a cached prediction; Forget() "
                                          "it first");
-  return it->second;
+  return it->second.prediction;
 }
 
 const CachedPrediction& ModelRegistry::PredictOrGet(int container_id,
@@ -64,6 +64,11 @@ const CachedPrediction& ModelRegistry::PredictOrGet(int container_id,
 }
 
 const CachedPrediction* ModelRegistry::FindPrediction(int container_id) const {
+  const auto it = predictions_.find(container_id);
+  return it == predictions_.end() ? nullptr : &it->second.prediction;
+}
+
+ModelRegistry::Entry* ModelRegistry::FindEntry(int container_id) {
   const auto it = predictions_.find(container_id);
   return it == predictions_.end() ? nullptr : &it->second;
 }

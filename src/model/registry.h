@@ -14,6 +14,8 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -30,10 +32,37 @@ struct CachedPrediction {
   std::vector<double> predicted_relative;  // model output, model's id order
 };
 
+// A model-driven scheduler's ranked view of one cached prediction
+// (src/scheduler/scheduler.h): the absolute prediction per placement, the
+// decision goal, and the order its policy ranks the placements in for
+// admission. A model policy ranks from the prediction alone, never from
+// occupancy (SchedulingPolicy::RankForAdmission), so every machine of a
+// topology group derives the same view from the group's prediction: the
+// first machine that needs it fills it here and the others read it. It
+// lives and dies with the prediction — Predict starts it empty and Forget
+// drops both.
+struct RankedView {
+  // What the view was built from besides the prediction. A scheduler whose
+  // inputs differ rebuilds the view in place. model == nullptr: not built.
+  const TrainedPerfModel* model = nullptr;
+  int baseline_id = 0;
+  double goal_fraction = 0.0;
+  double fallback_slack = 0.0;
+  std::vector<int> node_counts;  // NUMA nodes of each model output's placement
+
+  // The view, aligned with model->placement_ids.
+  std::vector<int> placement_ids;
+  std::vector<double> predicted_abs;
+  double decision_goal = 0.0;
+  std::vector<size_t> order;  // admission preference, indices into placement_ids
+
+  bool operator==(const RankedView&) const = default;
+};
+
 // Not thread-safe: its owner serialises every call (a scheduler or fleet
 // replays on one thread; PlacementController holds its own mutex).
 // References and pointers into the prediction cache stay valid across later
-// inserts (std::map nodes are stable) until Forget() drops that container.
+// inserts (the cache is node-based) until Forget() drops that container.
 class ModelRegistry {
  public:
   // Registers a trained model for (machine, vcpus). CHECK-fails on a
@@ -69,13 +98,35 @@ class ModelRegistry {
   // The cached prediction for a container, or nullptr when it never probed.
   const CachedPrediction* FindPrediction(int container_id) const;
 
-  // Drops the container's cached prediction (no-op when absent).
+  // A cached prediction with the ranked view memoized alongside it; the
+  // view is the scheduler's to fill (see RankedView).
+  struct Entry {
+    CachedPrediction prediction;
+    RankedView view;
+  };
+  // The container's entry, or nullptr when it never probed.
+  Entry* FindEntry(int container_id);
+
+  // Drops the container's cached prediction and its view (no-op when
+  // absent).
   void Forget(int container_id);
   size_t NumCachedPredictions() const { return predictions_.size(); }
 
  private:
-  std::map<std::pair<std::string, int>, TrainedPerfModel> models_;
-  std::map<int, CachedPrediction> predictions_;
+  // Orders (machine, vcpus) keys. Transparent, so Get and Has look a model
+  // up by a (std::string_view, int) key without copying the machine name.
+  struct KeyLess {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      const std::string_view name_a = a.first;
+      const std::string_view name_b = b.first;
+      return name_a != name_b ? name_a < name_b : a.second < b.second;
+    }
+  };
+  std::map<std::pair<std::string, int>, TrainedPerfModel, KeyLess> models_;
+  // Hashed: every admission preview looks its container up here.
+  std::unordered_map<int, Entry> predictions_;
 };
 
 }  // namespace numaplace

@@ -84,6 +84,15 @@ class SchedulingPolicy {
   // admitting a pending container; the scheduler commits the first candidate
   // realizable on free hardware threads. Returning every index keeps the
   // container admissible whenever anything fits.
+  //
+  // Contract for a policy with UsesModel(): it ranks from the prediction
+  // alone — ctx.placement_ids, ctx.predicted_abs, ctx.goal_abs,
+  // ctx.fallback_slack and the node counts of the candidates' placements in
+  // *ctx.ips — and never reads ctx.occupancy. Every machine of a topology
+  // group then ranks a container alike, so the scheduler ranks it once per
+  // group and shares the order (RankedView, src/model/registry.h). A policy
+  // whose ranking reads occupancy (best-fit, spread) must not use the
+  // model; model-free rankings are recomputed on every decision.
   virtual std::vector<size_t> RankForAdmission(const PolicyContext& ctx) const = 0;
 
   // Candidate indices worth migrating a degraded incumbent to, best first;

@@ -104,6 +104,21 @@ const std::optional<Placement>& MachineScheduler::RealizedOnFreeThreads(
   return Realized(size, PlacementIndex(size.ips, placement_id));
 }
 
+const TrainedPerfModel& MachineScheduler::ModelOf(SizeState& size) const {
+  if (size.model == nullptr) {
+    const TrainedPerfModel& model = registry_->Get(topo_->name(), size.ips.vcpus);
+    size.model_index.clear();
+    size.node_counts.clear();
+    for (const int id : model.placement_ids) {
+      const size_t index = PlacementIndex(size.ips, id);
+      size.model_index.push_back(index);
+      size.node_counts.push_back(size.ips.placements[index].NodeCount());
+    }
+    size.model = &model;
+  }
+  return *size.model;
+}
+
 const Migrator& MachineScheduler::MigratorFor(const ContainerRequest& request) const {
   return request.latency_sensitive ? static_cast<const Migrator&>(throttled_migrator_)
                                    : static_cast<const Migrator&>(fast_migrator_);
@@ -141,10 +156,15 @@ PolicyContext MachineScheduler::MakePolicyContext(
   return ctx;
 }
 
-MachineScheduler::PredictionView MachineScheduler::BuildPredictionView(
-    const ContainerRequest& request, const CachedPrediction& cached) const {
-  const TrainedPerfModel& model = registry_->Get(topo_->name(), request.vcpus);
-  PredictionView view;
+RankedView MachineScheduler::RankAfresh(const ContainerRequest& request, SizeState& size,
+                                        const CachedPrediction& cached) const {
+  const TrainedPerfModel& model = ModelOf(size);
+  RankedView view;
+  view.model = &model;
+  view.baseline_id = config_.baseline_id;
+  view.goal_fraction = request.goal_fraction;
+  view.fallback_slack = config_.fallback_slack;
+  view.node_counts = size.node_counts;
   view.placement_ids = model.placement_ids;
   const size_t index_a = IndexOf(view.placement_ids, cached.input_a);
   const size_t index_baseline = IndexOf(view.placement_ids, config_.baseline_id);
@@ -156,7 +176,81 @@ MachineScheduler::PredictionView MachineScheduler::BuildPredictionView(
   }
   view.decision_goal = request.goal_fraction * abs_unit *
                        cached.predicted_relative[index_baseline];
+  // A policy that uses the model ranks from the prediction alone (the
+  // RankForAdmission contract): the occupancy RankInto hands over is never
+  // read.
+  RankInto(request, size, view);
   return view;
+}
+
+void MachineScheduler::RankInto(const ContainerRequest& request, const SizeState& size,
+                                RankedView& view) const {
+  view.order = policy_->RankForAdmission(
+      MakePolicyContext(size.ips, occupancy_, request.vcpus, view.placement_ids,
+                        view.predicted_abs, view.decision_goal));
+  for (const size_t idx : view.order) {
+    NP_CHECK_MSG(idx < view.placement_ids.size(),
+                 "policy '" << policy_->name() << "' ranked candidate index " << idx
+                            << " out of range");
+  }
+}
+
+const RankedView& MachineScheduler::RankedViewOf(const ContainerRequest& request,
+                                                 SizeState& size) const {
+  ModelRegistry::Entry* entry = registry_->FindEntry(request.id);
+  NP_CHECK_MSG(entry != nullptr, "container " << request.id
+                                              << " has no cached probes under a model "
+                                                 "policy — call EnsureProbes first");
+  const TrainedPerfModel& model = ModelOf(size);
+  RankedView& view = entry->view;
+  if (view.model != &model || view.baseline_id != config_.baseline_id ||
+      view.goal_fraction != request.goal_fraction ||
+      view.fallback_slack != config_.fallback_slack || view.node_counts != size.node_counts) {
+    view = RankAfresh(request, size, entry->prediction);
+  }
+  return view;
+}
+
+const RankedView& MachineScheduler::RankedViewFor(const ContainerRequest& request) const {
+  NP_CHECK_MSG(policy_->UsesModel(), "policy '" << policy_->name() << "' has no ranked view");
+  return RankedViewOf(request, StateFor(request.vcpus));
+}
+
+RankedView MachineScheduler::BuildRankedView(const ContainerRequest& request) const {
+  NP_CHECK_MSG(policy_->UsesModel(), "policy '" << policy_->name() << "' has no ranked view");
+  const CachedPrediction* cached = registry_->FindPrediction(request.id);
+  NP_CHECK_MSG(cached != nullptr, "container " << request.id << " has no cached probes");
+  return RankAfresh(request, StateFor(request.vcpus), *cached);
+}
+
+const RankedView& MachineScheduler::AdmissionCandidates(const ContainerRequest& request,
+                                                        SizeState& size,
+                                                        RankedView& scratch) const {
+  if (policy_->UsesModel()) {
+    return RankedViewOf(request, size);
+  }
+  ModelFreeCandidates(size.ips, scratch.placement_ids, scratch.predicted_abs);
+  RankInto(request, size, scratch);
+  return scratch;
+}
+
+size_t MachineScheduler::SetIndex(const SizeState& size, size_t candidate) const {
+  // Model-free candidates are the whole set in set order.
+  return policy_->UsesModel() ? size.model_index[candidate] : candidate;
+}
+
+std::optional<size_t> MachineScheduler::FirstRealizable(const ContainerRequest& request,
+                                                        const RankedView& view,
+                                                        SizeState& size) const {
+  if (occupancy_.FreeThreadCount() < request.vcpus) {
+    return std::nullopt;
+  }
+  for (const size_t idx : view.order) {
+    if (Realized(size, SetIndex(size, idx)).has_value()) {
+      return idx;
+    }
+  }
+  return std::nullopt;
 }
 
 MachineScheduler::ProbeCharge MachineScheduler::EnsureProbes(
@@ -165,8 +259,9 @@ MachineScheduler::ProbeCharge MachineScheduler::EnsureProbes(
   if (!policy_->UsesModel() || registry_->FindPrediction(request.id) != nullptr) {
     return charge;
   }
-  const ImportantPlacementSet& ips = PlacementsFor(request.vcpus);
-  const TrainedPerfModel& model = registry_->Get(topo_->name(), request.vcpus);
+  SizeState& size = StateFor(request.vcpus);
+  const ImportantPlacementSet& ips = size.ips;
+  const TrainedPerfModel& model = ModelOf(size);
   const auto add_event = [&](double duration, const std::string& what) {
     charge.timeline.push_back({charge.seconds, duration, what});
     charge.seconds += duration;
@@ -202,41 +297,15 @@ MachineScheduler::AdmissionPreview MachineScheduler::PreviewAdmission(
     const ContainerRequest& request) const {
   NP_CHECK(request.vcpus > 0);
   SizeState& size = StateFor(request.vcpus);
-  const ImportantPlacementSet& ips = size.ips;
-  std::vector<int> placement_ids;
-  std::vector<double> predicted_abs;
-  double decision_goal = 0.0;
-  if (policy_->UsesModel()) {
-    const CachedPrediction* cached = registry_->FindPrediction(request.id);
-    NP_CHECK_MSG(cached != nullptr, "PreviewAdmission for container "
-                                        << request.id
-                                        << " requires cached probes under a "
-                                           "model policy — call EnsureProbes first");
-    PredictionView view = BuildPredictionView(request, *cached);
-    placement_ids = std::move(view.placement_ids);
-    predicted_abs = std::move(view.predicted_abs);
-    decision_goal = view.decision_goal;
-  } else {
-    ModelFreeCandidates(ips, placement_ids, predicted_abs);
-  }
-
+  RankedView scratch;
+  const RankedView& view = AdmissionCandidates(request, size, scratch);
   AdmissionPreview preview;
-  preview.goal_abs = decision_goal;
-  const PolicyContext ctx = MakePolicyContext(ips, occupancy_, request.vcpus,
-                                              placement_ids, predicted_abs,
-                                              decision_goal);
-  for (size_t idx : policy_->RankForAdmission(ctx)) {
-    NP_CHECK_MSG(idx < placement_ids.size(),
-                 "policy '" << policy_->name() << "' ranked candidate index " << idx
-                            << " out of range");
-    if (!Realized(size, PlacementIndex(ips, placement_ids[idx])).has_value()) {
-      continue;
-    }
+  preview.goal_abs = view.decision_goal;
+  if (const std::optional<size_t> idx = FirstRealizable(request, view, size)) {
     preview.realizable = true;
-    preview.placement_id = placement_ids[idx];
-    preview.predicted_abs = predicted_abs[idx];
-    preview.meets_goal = policy_->UsesModel() && predicted_abs[idx] >= decision_goal;
-    break;
+    preview.placement_id = view.placement_ids[*idx];
+    preview.predicted_abs = view.predicted_abs[*idx];
+    preview.meets_goal = policy_->UsesModel() && view.predicted_abs[*idx] >= view.decision_goal;
   }
   return preview;
 }
@@ -256,14 +325,9 @@ ScheduleOutcome MachineScheduler::TryPlace(ManagedContainer& container, double n
     clock += duration;
   };
 
-  std::vector<int> placement_ids;
-  std::vector<double> predicted_abs;
-  double decision_goal = 0.0;
   bool from_cache = false;
-
   if (policy_->UsesModel()) {
-    const CachedPrediction* cached = registry_->FindPrediction(request.id);
-    if (cached == nullptr) {
+    if (registry_->FindPrediction(request.id) == nullptr) {
       const ProbeCharge charge = EnsureProbes(request);
       for (const TimelineEvent& event : charge.timeline) {
         outcome.timeline.push_back(
@@ -271,8 +335,7 @@ ScheduleOutcome MachineScheduler::TryPlace(ManagedContainer& container, double n
       }
       clock += charge.seconds;
       container.memory_nodes = charge.memory_nodes;
-      cached = registry_->FindPrediction(request.id);
-      NP_CHECK(cached != nullptr);
+      NP_CHECK(registry_->FindPrediction(request.id) != nullptr);
     } else {
       // Probes were paid earlier — an admission retry on this machine, or a
       // fleet dispatch/rebalance probe on a machine of the same topology
@@ -281,70 +344,58 @@ ScheduleOutcome MachineScheduler::TryPlace(ManagedContainer& container, double n
       // placement puts it, with no intra-machine migration charge.
       from_cache = true;
     }
-
-    const PredictionView view = BuildPredictionView(request, *cached);
-    placement_ids = view.placement_ids;
-    predicted_abs = view.predicted_abs;
-    decision_goal = view.decision_goal;
-  } else {
-    ModelFreeCandidates(ips, placement_ids, predicted_abs);
   }
 
-  const PolicyContext ctx = MakePolicyContext(ips, occupancy_, request.vcpus,
-                                              placement_ids, predicted_abs,
-                                              decision_goal);
-  const std::vector<size_t> order = policy_->RankForAdmission(ctx);
-  for (size_t idx : order) {
-    NP_CHECK_MSG(idx < placement_ids.size(),
-                 "policy '" << policy_->name() << "' ranked candidate index " << idx
-                            << " out of range");
-    const size_t index = PlacementIndex(ips, placement_ids[idx]);
-    const ImportantPlacement& ip = ips.placements[index];
-    // Acquire below makes the slot stale but leaves its contents alone, so
-    // the reference stays good for the rest of the commit.
-    const std::optional<Placement>& realized = Realized(size, index);
-    if (!realized.has_value()) {
-      continue;
-    }
-
-    const NodeSet new_nodes = realized->NodesUsed(*topo_);
-    if (!container.memory_nodes.empty() && container.memory_nodes != new_nodes) {
-      const MigrationEstimate m = MigratorFor(request).Migrate(request.workload);
-      add_event(m.seconds, "migrate memory to final " + DescribePlacement(ip) + " (" +
-                               MigratorFor(request).name() + ")");
-    } else {
-      add_event(0.0, "final " + DescribePlacement(ip) + " (no migration needed)");
-    }
-
-    occupancy_.Acquire(request.id, *realized);
-    running_.insert(request.id);
-    ++tenant_generation_;
-    container.state = ContainerState::kRunning;
-    container.placement_id = ip.id;
-    container.placement = *realized;
-    container.memory_nodes = new_nodes;
-    container.predicted_abs_throughput = predicted_abs[idx];
-    container.meets_goal = policy_->UsesModel() && predicted_abs[idx] >= decision_goal;
-    container.placed_seconds = now + clock;
-
-    outcome.admitted = true;
-    outcome.placement_id = ip.id;
-    outcome.placement = *realized;
-    outcome.predicted_abs_throughput = predicted_abs[idx];
-    outcome.meets_goal = container.meets_goal;
+  RankedView scratch;
+  const RankedView& view = AdmissionCandidates(request, size, scratch);
+  const std::optional<size_t> chosen = FirstRealizable(request, view, size);
+  if (!chosen.has_value()) {
+    // Nothing realizable under the current occupancy: the container stays
+    // pending (its probes, if any, are cached for the admission retry).
     outcome.decision_seconds = clock;
-    // Only a committed decision counts as a cache hit; a failed admission
-    // retry consumed nothing.
-    outcome.reused_cached_probes = from_cache;
-    if (from_cache) {
-      ++stats_.cached_probe_reuses;
-    }
     return outcome;
   }
+  const size_t idx = *chosen;
+  const size_t index = SetIndex(size, idx);
+  const ImportantPlacement& ip = ips.placements[index];
+  // The memo slot FirstRealizable just read. Acquire below makes it stale
+  // but leaves its contents alone, so the reference stays good for the rest
+  // of the commit.
+  const std::optional<Placement>& realized = Realized(size, index);
+  const double predicted_abs = view.predicted_abs[idx];
 
-  // Nothing realizable under the current occupancy: the container stays
-  // pending (its probes, if any, are cached for the admission retry).
+  const NodeSet new_nodes = realized->NodesUsed(*topo_);
+  if (!container.memory_nodes.empty() && container.memory_nodes != new_nodes) {
+    const MigrationEstimate m = MigratorFor(request).Migrate(request.workload);
+    add_event(m.seconds, "migrate memory to final " + DescribePlacement(ip) + " (" +
+                             MigratorFor(request).name() + ")");
+  } else {
+    add_event(0.0, "final " + DescribePlacement(ip) + " (no migration needed)");
+  }
+
+  occupancy_.Acquire(request.id, *realized);
+  running_.insert(request.id);
+  ++tenant_generation_;
+  container.state = ContainerState::kRunning;
+  container.placement_id = ip.id;
+  container.placement = *realized;
+  container.memory_nodes = new_nodes;
+  container.predicted_abs_throughput = predicted_abs;
+  container.meets_goal = policy_->UsesModel() && predicted_abs >= view.decision_goal;
+  container.placed_seconds = now + clock;
+
+  outcome.admitted = true;
+  outcome.placement_id = ip.id;
+  outcome.placement = *realized;
+  outcome.predicted_abs_throughput = predicted_abs;
+  outcome.meets_goal = container.meets_goal;
   outcome.decision_seconds = clock;
+  // Only a committed decision counts as a cache hit; a failed admission
+  // retry consumed nothing.
+  outcome.reused_cached_probes = from_cache;
+  if (from_cache) {
+    ++stats_.cached_probe_reuses;
+  }
   return outcome;
 }
 
@@ -436,20 +487,17 @@ std::vector<ScheduleOutcome> MachineScheduler::ReplacementPass(double now) {
     if (container.meets_goal) {
       continue;
     }
-    const ImportantPlacementSet& ips = PlacementsFor(container.request.vcpus);
-    std::vector<int> placement_ids;
-    std::vector<double> predicted_abs;
-    double decision_goal = 0.0;
-    if (policy_->UsesModel()) {
-      const CachedPrediction* cached = registry_->FindPrediction(id);
-      NP_CHECK_MSG(cached != nullptr, "running container " << id << " lost its probes");
-      PredictionView view = BuildPredictionView(container.request, *cached);
-      placement_ids = std::move(view.placement_ids);
-      predicted_abs = std::move(view.predicted_abs);
-      decision_goal = view.decision_goal;
-    } else {
-      ModelFreeCandidates(ips, placement_ids, predicted_abs);
+    SizeState& size = StateFor(container.request.vcpus);
+    const ImportantPlacementSet& ips = size.ips;
+    RankedView model_free;
+    if (!policy_->UsesModel()) {
+      ModelFreeCandidates(ips, model_free.placement_ids, model_free.predicted_abs);
     }
+    const RankedView& view =
+        policy_->UsesModel() ? RankedViewOf(container.request, size) : model_free;
+    const std::vector<int>& placement_ids = view.placement_ids;
+    const std::vector<double>& predicted_abs = view.predicted_abs;
+    const double decision_goal = view.decision_goal;
 
     // Search with the container's own threads treated as free: it can move
     // onto any mix of its current and newly freed threads.

@@ -179,18 +179,34 @@ class MachineScheduler {
   ProbeCharge EnsureProbes(const ContainerRequest& request);
 
   // What TryPlace would commit for the request right now, without mutating
-  // any observable state (const: only the lazy placement-set cache may fill
-  // in). Requires a cached prediction (see EnsureProbes) when the active
-  // policy uses the model. Model-free policies report zero predicted/goal
-  // throughput.
+  // any observable state (const: only the lazy placement-set cache and the
+  // memos may fill in). Requires a cached prediction (see EnsureProbes) when
+  // the active policy uses the model. Model-free policies report zero
+  // predicted/goal throughput.
   struct AdmissionPreview {
     bool realizable = false;      // some ranked candidate fits the free threads
     int placement_id = 0;
     double predicted_abs = 0.0;
     double goal_abs = 0.0;        // decision goal derived from the probes
     bool meets_goal = false;
+
+    bool operator==(const AdmissionPreview&) const = default;
   };
   AdmissionPreview PreviewAdmission(const ContainerRequest& request) const;
+
+  // The container's ranked view as this machine's model-policy decisions
+  // (admission, preview, upgrade) read it: the view memoized with its cached
+  // prediction in the shared registry, rebuilt there first when it is
+  // missing or was built from inputs other than this machine's (baseline
+  // id, fallback slack, goal fraction, model, node counts). Requires a
+  // model policy and a cached prediction; the reference stays valid until
+  // the registry next forgets or re-ranks the container.
+  const RankedView& RankedViewFor(const ContainerRequest& request) const;
+
+  // The same view computed afresh from the cached prediction — absolute
+  // predictions and decision goal, then the policy's RankForAdmission —
+  // without touching the memo: the reference RankedViewFor must equal.
+  RankedView BuildRankedView(const ContainerRequest& request) const;
 
   // Processes one FleetEvent: arrivals submit, departures free capacity and
   // run the re-placement pass, and every outcome is reported through the
@@ -256,11 +272,19 @@ class MachineScheduler {
         : ips(std::move(set)), realized(ips.placements.size()) {}
     ImportantPlacementSet ips;
     std::vector<Slot> realized;
+    // The registry's model for this size, resolved on first use (a
+    // registered model is never replaced, so the pointer stays good), and
+    // per model output its placement's position in ips and node count.
+    const TrainedPerfModel* model = nullptr;
+    std::vector<size_t> model_index;
+    std::vector<int> node_counts;
   };
   // The size's state, generating its placement set on first use.
   SizeState& StateFor(int vcpus) const;
   // The memo slot of size.ips.placements[index], refilled when stale.
   const std::optional<Placement>& Realized(SizeState& size, size_t index) const;
+  // The size's model, resolving it (and its placement tables) on first use.
+  const TrainedPerfModel& ModelOf(SizeState& size) const;
 
   // Advances the stats clock to `now`, integrating busy-thread time.
   void AdvanceClock(double now);
@@ -274,16 +298,33 @@ class MachineScheduler {
   // only; upgrades of running containers go through ReplacementPass.
   ScheduleOutcome TryPlace(ManagedContainer& container, double now);
 
-  // Absolute per-placement predictions and the decision goal derived from a
-  // container's cached probes (shared by placement, upgrade and preview
-  // decisions).
-  struct PredictionView {
-    std::vector<int> placement_ids;
-    std::vector<double> predicted_abs;
-    double decision_goal = 0.0;
-  };
-  PredictionView BuildPredictionView(const ContainerRequest& request,
-                                     const CachedPrediction& cached) const;
+  // The container's ranked view against this machine's inputs, computed
+  // afresh from the size's model and the container's cached prediction:
+  // absolute per-placement predictions and the decision goal, then the
+  // policy's admission order.
+  RankedView RankAfresh(const ContainerRequest& request, SizeState& size,
+                        const CachedPrediction& cached) const;
+  // Sets view.order to the policy's admission ranking of the view's
+  // candidates on the live occupancy (CHECKs every index is in range).
+  void RankInto(const ContainerRequest& request, const SizeState& size,
+                RankedView& view) const;
+  // RankedViewFor on a resolved size.
+  const RankedView& RankedViewOf(const ContainerRequest& request, SizeState& size) const;
+
+  // The ranked candidates of one admission decision: under a model policy
+  // the container's memoized view (RankedViewOf); otherwise a per-call
+  // ranking of every placement of the size, in set order, into `scratch` —
+  // a model-free ranking may read occupancy, so it is never shared.
+  const RankedView& AdmissionCandidates(const ContainerRequest& request, SizeState& size,
+                                        RankedView& scratch) const;
+  // Position in size.ips of the placement of candidate `candidate`.
+  size_t SetIndex(const SizeState& size, size_t candidate) const;
+  // The first candidate of view.order realizable on the free threads, or
+  // nullopt. Answers nullopt without reading the memo when fewer than vcpus
+  // threads are free: every important placement realizes on exactly vcpus
+  // hardware threads.
+  std::optional<size_t> FirstRealizable(const ContainerRequest& request,
+                                        const RankedView& view, SizeState& size) const;
 
   // Assembles the context handed to the policy for one decision against the
   // given occupancy view (the live map for admissions, a scratch map with

@@ -4,6 +4,10 @@
 // move's predicted gain is below its modeled migration + network cost.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdarg>
+#include <cstdio>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -25,16 +29,19 @@
 namespace numaplace {
 namespace {
 
-// One trained AMD model shared by every test in the binary (training is the
-// expensive part; the fleets themselves are cheap).
-struct AmdAssets {
-  Topology topo = AmdOpteron6272();
-  ImportantPlacementSet ips = GenerateImportantPlacements(topo, 16, true);
-  PerformanceModel sim{topo, 0.01, 3};
+// One trained 16-vCPU model per topology, shared by every test in the binary
+// (training is the expensive part; the fleets themselves are cheap).
+struct TrainedAssets {
+  Topology topo;
+  ImportantPlacementSet ips;
+  PerformanceModel sim;
   TrainedPerfModel model;
 
-  AmdAssets() {
-    ModelPipeline pipeline(ips, sim, /*baseline_id=*/1, /*seed=*/23);
+  TrainedAssets(Topology machine, int baseline_id)
+      : topo(std::move(machine)),
+        ips(GenerateImportantPlacements(topo, 16, true)),
+        sim(topo, 0.01, 3) {
+    ModelPipeline pipeline(ips, sim, baseline_id, /*seed=*/23);
     PerfModelConfig config;
     config.forest.num_trees = 60;
     config.cv_trees = 25;
@@ -44,8 +51,14 @@ struct AmdAssets {
   }
 };
 
-const AmdAssets& Assets() {
-  static const AmdAssets* assets = new AmdAssets();
+const TrainedAssets& Assets() {
+  static const TrainedAssets* assets = new TrainedAssets(AmdOpteron6272(), 1);
+  return *assets;
+}
+
+// The Intel group's model, for mixed fleets (baseline #2, as the CLI uses).
+const TrainedAssets& IntelAssets() {
+  static const TrainedAssets* assets = new TrainedAssets(IntelXeonE74830v3(), 2);
   return *assets;
 }
 
@@ -58,7 +71,7 @@ MachineSpec AmdSpec(const std::string& policy) {
 
 FleetScheduler MakeAmdFleet(int num_machines, const std::string& machine_policy,
                             FleetConfig config) {
-  const AmdAssets& assets = Assets();
+  const TrainedAssets& assets = Assets();
   std::vector<MachineSpec> specs(static_cast<size_t>(num_machines),
                                  AmdSpec(machine_policy));
   FleetScheduler fleet(std::move(specs), config);
@@ -72,7 +85,7 @@ FleetScheduler MakeAmdFleet(int num_machines, const std::string& machine_policy,
 FleetScheduler MakeShardedAmdFleet(int num_machines, const std::string& machine_policy,
                                    FleetConfig config,
                                    const ShardedDispatchConfig& sharded) {
-  const AmdAssets& assets = Assets();
+  const TrainedAssets& assets = Assets();
   std::vector<MachineSpec> specs(static_cast<size_t>(num_machines),
                                  AmdSpec(machine_policy));
   config.dispatch = "sharded";
@@ -950,6 +963,84 @@ TEST(FleetCapacityOps, CleanCapacityFlagSkipsTheRebalancePassEntirely) {
   return ::testing::AssertionSuccess();
 }
 
+// What PreviewAdmission must answer, computed the long way: a fresh ranking
+// (BuildRankedView), then the whole order walked with fresh node-set
+// searches — no view memo, no realizability memo, no free-thread
+// short-circuit.
+MachineScheduler::AdmissionPreview ReferencePreview(const MachineScheduler& machine,
+                                                    const ContainerRequest& request) {
+  const RankedView fresh = machine.BuildRankedView(request);
+  const ImportantPlacementSet& ips = machine.PlacementsFor(request.vcpus);
+  MachineScheduler::AdmissionPreview preview;
+  preview.goal_abs = fresh.decision_goal;
+  for (const size_t idx : fresh.order) {
+    if (RealizeAnywhereFree(ips.ById(fresh.placement_ids[idx]), machine.topology(),
+                            request.vcpus, machine.occupancy())
+            .has_value()) {
+      preview.realizable = true;
+      preview.placement_id = fresh.placement_ids[idx];
+      preview.predicted_abs = fresh.predicted_abs[idx];
+      preview.meets_goal = fresh.predicted_abs[idx] >= fresh.decision_goal;
+      break;
+    }
+  }
+  return preview;
+}
+
+// The requests of every arrival in the trace, by container id.
+std::map<int, ContainerRequest> RequestsOf(const EventStream& trace) {
+  std::map<int, ContainerRequest> requests;
+  for (const FleetEvent& event : trace) {
+    if (const ContainerArrival* arrival = event.arrival()) {
+      requests.emplace(arrival->container_id, RequestFromArrival(*arrival));
+    }
+  }
+  return requests;
+}
+
+// Whether, on every up machine, every request with a cached prediction in
+// the machine's group has the ranked view a fresh ranking gives and the
+// preview the reference walk gives; and whether the fleet's tier table
+// equals a recount: TierOf for a live or waiting container while admission
+// is active, standard otherwise.
+::testing::AssertionResult FleetStateMatchesAFreshRanking(
+    FleetScheduler& fleet, const std::map<int, ContainerRequest>& requests) {
+  for (int m = 0; m < fleet.NumMachines(); ++m) {
+    if (fleet.availability(m) != MachineAvailability::kUp) {
+      continue;
+    }
+    const MachineScheduler& machine = fleet.machine(m);
+    const ModelRegistry& registry = fleet.GroupRegistry(fleet.topology(m).name());
+    for (const auto& [id, request] : requests) {
+      if (registry.FindPrediction(id) == nullptr) {
+        continue;
+      }
+      if (!(machine.RankedViewFor(request) == machine.BuildRankedView(request))) {
+        return ::testing::AssertionFailure()
+               << "machine " << m << ", container " << id << ": view differs";
+      }
+      if (!(machine.PreviewAdmission(request) == ReferencePreview(machine, request))) {
+        return ::testing::AssertionFailure()
+               << "machine " << m << ", container " << id << ": preview differs";
+      }
+    }
+  }
+  const std::vector<int> unplaced = fleet.UnplacedIds();
+  for (const auto& [id, request] : requests) {
+    const bool live = fleet.MachineOf(id) != kNoMachine ||
+                      std::find(unplaced.begin(), unplaced.end(), id) != unplaced.end();
+    const SloTier expected = fleet.AdmissionActive() && live
+                                 ? fleet.TierOf(request.workload.name)
+                                 : SloTier::kStandard;
+    if (fleet.ContainerTier(id) != expected) {
+      return ::testing::AssertionFailure() << "container " << id << ": tier "
+                                           << ToString(fleet.ContainerTier(id))
+                                           << ", recount " << ToString(expected);
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST(FleetIncrementalState, RunningSetsAndSnapshotCacheMatchARecountAfterEveryStep) {
   // Churn past saturation plus a fail, a drain and both rejoins: every
   // path that moves a tenant between machines (dispatch, rebalance moves,
@@ -958,11 +1049,10 @@ TEST(FleetIncrementalState, RunningSetsAndSnapshotCacheMatchARecountAfterEverySt
   config.dispatch = "best-predicted";
   FleetScheduler fleet = MakeAmdFleet(6, "model", config);
   const EventStream trace = ChurnTraceWithMachineEvents(3, 99);
+  const std::map<int, ContainerRequest> requests = RequestsOf(trace);
   std::set<int> ids;
-  for (const FleetEvent& event : trace) {
-    if (const ContainerArrival* arrival = event.arrival()) {
-      ids.insert(arrival->container_id);
-    }
+  for (const auto& [id, request] : requests) {
+    ids.insert(id);
   }
 
   TenantSnapshotCache cache(static_cast<size_t>(fleet.NumMachines()));
@@ -1005,6 +1095,9 @@ TEST(FleetIncrementalState, RunningSetsAndSnapshotCacheMatchARecountAfterEverySt
           << "machine " << m << " after " << ToString(event.kind()) << " at t="
           << event.time_seconds;
     }
+    // So must every ranked view those previews and commits read.
+    ASSERT_TRUE(FleetStateMatchesAFreshRanking(fleet, requests))
+        << "after " << ToString(event.kind()) << " at t=" << event.time_seconds;
   }
   EXPECT_GT(fleet.stats().rebalance_moves, 0);
   EXPECT_GT(fleet.stats().drain_moves + fleet.stats().failover_moves, 0);
@@ -1129,6 +1222,175 @@ TEST(FleetDomains, PerReasonMoveCountersPartitionTheRebalanceLog) {
   EXPECT_EQ(stats.evacuation_moves, drain + failover);
   // The churn trace drains machine 1 mid-trace, so the drain path ran.
   EXPECT_GT(stats.drain_moves, 0);
+}
+
+
+// FNV-1a 64 with the repository's offset basis (the same helper pins model
+// text in model_test and simulator output in sim_test).
+uint64_t Fnv1a(const std::string& text) {
+  uint64_t hash = 1469598103934665603ULL;
+  for (const unsigned char c : text) {
+    hash ^= c;
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+void AppendLine(std::string* text, const char* format, ...) {
+  char line[512];
+  va_list args;
+  va_start(args, format);
+  std::vsnprintf(line, sizeof(line), format, args);
+  va_end(args);
+  *text += line;
+}
+
+// Every sim-time result of a fleet replay as text: the lifetime counters
+// (host time excluded), the move and evacuation logs, and the report's
+// integrals at full precision.
+std::string FleetReplayText(const FleetScheduler& fleet, const FleetReport& report) {
+  std::string text;
+  const FleetStats& s = fleet.stats();
+  AppendLine(&text, "stats %d %d %d %d %.17g %d %d %d %d %d %d %.17g %.17g %d %.17g\n",
+             s.submitted, s.dispatched_immediately, s.queued, s.queue_admissions,
+             s.queue_wait_seconds, s.rebalance_moves, s.evacuations, s.evacuation_moves,
+             s.evacuation_requeues, s.drain_moves, s.failover_moves,
+             s.cross_machine_move_seconds, s.network_copy_seconds, s.fleet_probe_runs,
+             s.fleet_probe_seconds);
+  AppendLine(&text, "searches %d %d %d %d %d %d %d %d\n", s.dispatch_previews,
+             s.dispatch_decisions, s.rebalance_previews, s.rebalance_decisions,
+             s.evac_previews, s.evac_decisions, s.rebalance_passes,
+             s.rebalance_passes_skipped);
+  for (size_t t = 0; t < static_cast<size_t>(kNumSloTiers); ++t) {
+    AppendLine(&text, "tier %zu %d %d %d %d %d %.17g %.17g\n", t, s.tier_arrivals[t],
+               s.tier_admitted[t], s.tier_deferred[t], s.tier_rejected[t],
+               s.tier_preempted[t], report.tier_goal_attainment[t],
+               report.tier_container_seconds[t]);
+  }
+  for (const RebalanceMove& m : fleet.rebalance_log()) {
+    AppendLine(&text, "move %d %d %d %d %s %.17g %.17g %.17g %.17g\n", m.container_id,
+               m.from_machine, m.to_machine, m.was_queued ? 1 : 0, ToString(m.reason),
+               m.predicted_gain_ops, m.modeled_cost_ops, m.move_seconds,
+               m.network_seconds);
+  }
+  for (const EvacuationReport& e : fleet.evacuation_log()) {
+    AppendLine(&text, "evacuation %d %s %.17g %d %d %d %.17g %.17g %.17g\n", e.machine_id,
+               ToString(e.reason), e.start_seconds, e.containers, e.rehomed, e.requeued,
+               e.last_landing_seconds, e.move_seconds_total, e.network_seconds_total);
+  }
+  AppendLine(&text, "report %.17g %.17g %.17g %.17g %.17g %.17g %d\n",
+             report.goal_attainment, report.container_seconds_at_goal,
+             report.mean_utilization, report.utilization_min, report.utilization_max,
+             report.mean_queue_wait_seconds, report.decisions);
+  for (const double utilization : report.machine_utilizations) {
+    AppendLine(&text, "machine %.17g\n", utilization);
+  }
+  return text;
+}
+
+// A mixed model-policy fleet through every decision path the admission
+// replay exercises: amd,intel x 2 with best-predicted dispatch previews on
+// both topology groups, tiered admission under a flash crowd, and a rack
+// failure whose evacuees fail over before the rack rejoins.
+FleetScheduler MakeAdmissionFleet() {
+  std::vector<MachineSpec> specs;
+  for (int m = 0; m < 4; ++m) {
+    const bool amd = m % 2 == 0;
+    MachineSpec spec(amd ? AmdOpteron6272() : IntelXeonE74830v3());
+    spec.scheduler.policy = "model";
+    spec.scheduler.baseline_id = amd ? 1 : 2;
+    specs.push_back(std::move(spec));
+  }
+  FleetConfig config;
+  config.dispatch = "best-predicted";
+  config.admission = "tiered";
+  config.domain_racks = 2;
+  FleetScheduler fleet(std::move(specs), config);
+  for (const TrainedAssets* assets : {&Assets(), &IntelAssets()}) {
+    fleet.GroupRegistry(assets->topo.name()).Register(assets->topo.name(), 16, assets->model);
+    fleet.ProvidePlacements(assets->topo.name(), assets->ips);
+  }
+  return fleet;
+}
+
+EventStream AdmissionTrace(const FleetScheduler& fleet) {
+  FlashCrowdConfig flash;
+  flash.base.num_containers = 6;
+  flash.base.vcpus = 16;
+  flash.base.goal_fraction = 0.9;
+  flash.base.mean_interarrival_seconds = 120.0;
+  flash.base.mean_lifetime_seconds = 480.0;
+  flash.bursts = 1;
+  flash.burst_containers = 8;
+  Rng rng(7);
+  EventStream generated = GenerateFlashCrowdTrace(flash, fleet.NumMachines(), rng);
+  const double end = generated.EndTime();
+  return InjectMachineEvents(std::move(generated),
+                             {FleetEvent::FailDomain(0.3 * end, DomainScope::kRack, 0),
+                              FleetEvent::RejoinDomain(0.6 * end, DomainScope::kRack, 0)},
+                             fleet.domains());
+}
+
+TEST(FleetPin, ModelPolicyAdmissionReplayIsPinned) {
+  // The pin is the FNV-1a of every sim-time result; a change that moves
+  // any decision or integral moves it.
+  FleetScheduler fleet = MakeAdmissionFleet();
+  const FleetReport report = fleet.ReplayWithEvaluation(AdmissionTrace(fleet));
+
+  const std::string text = FleetReplayText(fleet, report);
+  // The replay reached every path it claims to pin.
+  const FleetStats& stats = fleet.stats();
+  EXPECT_GT(stats.dispatch_previews, 0);
+  EXPECT_GT(stats.tier_rejected[static_cast<size_t>(SloTier::kBestEffort)], 0) << text;
+  EXPECT_EQ(stats.evacuations, 2) << text;
+  EXPECT_EQ(Fnv1a(text), 0xc63010dbf0f332a3ULL) << text;
+}
+
+TEST(FleetIncrementalState, ViewsAndTierTableMatchARecountUnderAdmission) {
+  // The admission replay above, stepped: two topology groups, shed and
+  // deferred arrivals, fail-over evacuees and a rejoin all move the tier
+  // table, and every preview reads a shared view.
+  FleetScheduler fleet = MakeAdmissionFleet();
+  const EventStream trace = AdmissionTrace(fleet);
+  const std::map<int, ContainerRequest> requests = RequestsOf(trace);
+  bool tiered = false;
+  for (const FleetEvent& event : trace) {
+    fleet.Step(event);
+    ASSERT_TRUE(FleetStateMatchesAFreshRanking(fleet, requests))
+        << "after " << ToString(event.kind()) << " at t=" << event.time_seconds;
+    for (const auto& [id, request] : requests) {
+      tiered = tiered || fleet.ContainerTier(id) != SloTier::kStandard;
+    }
+  }
+  EXPECT_TRUE(tiered);
+  EXPECT_EQ(fleet.stats().evacuations, 2);
+}
+
+TEST(FleetIncrementalState, MachinesOfAGroupWithOtherInputsKeepTheirOwnViews) {
+  // One topology group, one registry, but the machines differ in baseline
+  // id and fallback slack: every machine's previews, commits and upgrades
+  // must read a view ranked from its own inputs, however the machines
+  // before it left the shared one.
+  std::vector<MachineSpec> specs;
+  for (int m = 0; m < 4; ++m) {
+    MachineSpec spec = AmdSpec("model");
+    spec.scheduler.baseline_id = m == 1 ? 2 : 1;
+    spec.scheduler.fallback_slack = m == 2 ? 0.5 : 0.03;
+    specs.push_back(std::move(spec));
+  }
+  FleetConfig config;
+  config.dispatch = "best-predicted";
+  FleetScheduler fleet(std::move(specs), config);
+  fleet.GroupRegistry(Assets().topo.name()).Register(Assets().topo.name(), 16, Assets().model);
+  fleet.ProvidePlacements(Assets().topo.name(), Assets().ips);
+  const EventStream trace = ChurnTraceWithMachineEvents(3, 99);
+  const std::map<int, ContainerRequest> requests = RequestsOf(trace);
+  for (const FleetEvent& event : trace) {
+    fleet.Step(event);
+    ASSERT_TRUE(FleetStateMatchesAFreshRanking(fleet, requests))
+        << "after " << ToString(event.kind()) << " at t=" << event.time_seconds;
+  }
+  EXPECT_GT(fleet.stats().dispatch_previews, 0);
 }
 
 }  // namespace

@@ -73,6 +73,49 @@ class SchedulerPolicyTest : public ::testing::Test {
 
 // --- registry ---
 
+TEST(ModelPolicyContract, RankingIsTheSameOnAnEmptyAndANearlyFullMachine) {
+  // A policy that uses the model ranks from the prediction alone, never
+  // from ctx.occupancy: that is what lets every machine of a topology group
+  // share one ranked view of a container.
+  const Topology topo = AmdOpteron6272();
+  const ImportantPlacementSet ips = GenerateImportantPlacements(topo, 16, true);
+  std::vector<int> ids;
+  std::vector<double> predicted;
+  ModelFreeCandidates(ips, ids, predicted);
+  std::reverse(ids.begin(), ids.end());  // a model's output order is its own
+  Rng rng(3);
+  for (double& p : predicted) {
+    p = 1e6 * (0.5 + rng.NextDouble());
+  }
+  const OccupancyMap empty(topo);
+  OccupancyMap nearly_full(topo);
+  Placement all_but_one;
+  for (int t = 0; t + 1 < topo.NumHwThreads(); ++t) {
+    all_but_one.hw_threads.push_back(t);
+  }
+  nearly_full.Acquire(1, all_but_one);
+  ASSERT_EQ(nearly_full.FreeThreadCount(), 1);
+
+  const ModelPolicy policy;
+  const double best = *std::max_element(predicted.begin(), predicted.end());
+  for (const double goal : {0.0, 0.5 * best, 0.9 * best, 2.0 * best}) {
+    for (const double slack : {0.0, 0.03, 0.5}) {
+      PolicyContext ctx;
+      ctx.topo = &topo;
+      ctx.ips = &ips;
+      ctx.vcpus = 16;
+      ctx.placement_ids = &ids;
+      ctx.predicted_abs = &predicted;
+      ctx.goal_abs = goal;
+      ctx.fallback_slack = slack;
+      ctx.occupancy = &empty;
+      const std::vector<size_t> on_empty = policy.RankForAdmission(ctx);
+      ctx.occupancy = &nearly_full;
+      EXPECT_EQ(policy.RankForAdmission(ctx), on_empty) << "goal " << goal << ", slack " << slack;
+    }
+  }
+}
+
 TEST(PolicyRegistry, BuiltinsAreConstructibleByName) {
   const std::vector<std::string> names = PolicyRegistry::Global().Names();
   for (const char* expected : {"model", "first-fit", "best-fit", "spread"}) {

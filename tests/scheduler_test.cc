@@ -2,10 +2,11 @@
 // disjoint hardware-thread sets, probe caching across re-placements, the
 // arrival -> probe -> place -> depart -> re-place lifecycle, the incremental
 // running set and tenant generation behind the replay's snapshot cache, the
-// realizability memo behind admission previews, and the split-L3 (Zen)
-// topology.
+// realizability memo and the ranked view behind admission previews, and the
+// split-L3 (Zen) topology.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -246,6 +247,50 @@ TEST_F(SchedulerTest, RejectsLiveDuplicateIdsAndUnknownDepartures) {
   return ::testing::AssertionSuccess();
 }
 
+// What PreviewAdmission must answer, computed the long way: a fresh ranking
+// (BuildRankedView), then the whole order walked with fresh node-set
+// searches — no view memo, no realizability memo, no free-thread
+// short-circuit.
+MachineScheduler::AdmissionPreview ReferencePreview(const MachineScheduler& scheduler,
+                                                    const ContainerRequest& request) {
+  const RankedView fresh = scheduler.BuildRankedView(request);
+  const ImportantPlacementSet& ips = scheduler.PlacementsFor(request.vcpus);
+  MachineScheduler::AdmissionPreview preview;
+  preview.goal_abs = fresh.decision_goal;
+  for (const size_t idx : fresh.order) {
+    if (RealizeAnywhereFree(ips.ById(fresh.placement_ids[idx]), scheduler.topology(),
+                            request.vcpus, scheduler.occupancy())
+            .has_value()) {
+      preview.realizable = true;
+      preview.placement_id = fresh.placement_ids[idx];
+      preview.predicted_abs = fresh.predicted_abs[idx];
+      preview.meets_goal = fresh.predicted_abs[idx] >= fresh.decision_goal;
+      break;
+    }
+  }
+  return preview;
+}
+
+// Whether, for every request with a cached prediction in `registry`, the
+// scheduler's ranked view equals a fresh one and its preview equals the
+// reference preview.
+::testing::AssertionResult ViewsMatchAFreshRanking(
+    const MachineScheduler& scheduler, const ModelRegistry& registry,
+    const std::map<int, ContainerRequest>& requests) {
+  for (const auto& [id, request] : requests) {
+    if (registry.FindPrediction(id) == nullptr) {
+      continue;
+    }
+    if (!(scheduler.RankedViewFor(request) == scheduler.BuildRankedView(request))) {
+      return ::testing::AssertionFailure() << "container " << id << " view differs";
+    }
+    if (!(scheduler.PreviewAdmission(request) == ReferencePreview(scheduler, request))) {
+      return ::testing::AssertionFailure() << "container " << id << " preview differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 // The running ids a from-scratch recount of Find() states over `ids`
 // (ascending) yields — what the scheduler's live running set must hold.
 std::vector<int> RecountRunning(const MachineScheduler& scheduler,
@@ -275,9 +320,11 @@ TEST_F(SchedulerTest, IncrementalTenantStateMatchesARecountAfterEveryStep) {
   Rng rng(5);
   const EventStream trace = GeneratePoissonTrace(config, rng);
   std::set<int> ids;
+  std::map<int, ContainerRequest> requests;
   for (const FleetEvent& event : trace) {
     if (const ContainerArrival* arrival = event.arrival()) {
       ids.insert(arrival->container_id);
+      requests.emplace(arrival->container_id, RequestFromArrival(*arrival));
     }
   }
 
@@ -302,12 +349,101 @@ TEST_F(SchedulerTest, IncrementalTenantStateMatchesARecountAfterEveryStep) {
         scheduler.occupancy().Generation() == occupancy_generation ? 1 : 0;
     ASSERT_TRUE(MemoMatchesAFreshSearch(scheduler, 16))
         << ToString(event.kind()) << " at t=" << event.time_seconds;
+    // And the ranked views the previews and commits read.
+    ASSERT_TRUE(ViewsMatchAFreshRanking(scheduler, registry_, requests))
+        << ToString(event.kind()) << " at t=" << event.time_seconds;
   }
   EXPECT_GT(scheduler.stats().queued, 0);
   EXPECT_GT(scheduler.stats().admitted_from_queue, 0);
   EXPECT_GT(scheduler.stats().upgrades, 0);
   EXPECT_GT(unchanged, 0);
   EXPECT_GT(occupancy_unchanged, 0);
+}
+
+TEST_F(SchedulerTest, AFullMachineAnswersNotRealizableWithTheGoal) {
+  // Four 16-vCPU tenants fill the 64-thread machine: a fifth previews as
+  // not realizable, still reporting the goal its probes give, and queues.
+  MachineScheduler scheduler = MakeScheduler();
+  for (int id = 1; id <= 4; ++id) {
+    ASSERT_TRUE(scheduler.Submit(MakeRequest(id, "gcc", 0.5), id * 1.0).admitted);
+  }
+  ASSERT_EQ(scheduler.occupancy().FreeThreadCount(), 0);
+  const ContainerRequest request = MakeRequest(5, "wc", 0.9);
+  scheduler.EnsureProbes(request);
+  const MachineScheduler::AdmissionPreview preview = scheduler.PreviewAdmission(request);
+  EXPECT_FALSE(preview.realizable);
+  EXPECT_GT(preview.goal_abs, 0.0);
+  EXPECT_EQ(preview, ReferencePreview(scheduler, request));
+  EXPECT_FALSE(scheduler.Submit(request, 5.0).admitted);
+  EXPECT_EQ(scheduler.PendingIds(), std::vector<int>{5});
+}
+
+TEST_F(SchedulerTest, ARepredictedIdIsRankedFromItsNewPrediction) {
+  // The view lives with the prediction: forgetting a container and
+  // predicting the same id from other probe values must never serve the
+  // old view.
+  MachineScheduler scheduler = MakeScheduler();
+  const ContainerRequest request = MakeRequest(7, "gcc", 0.9);
+  scheduler.EnsureProbes(request);
+  const CachedPrediction first_probes = *registry_.FindPrediction(7);
+  const RankedView first = scheduler.RankedViewFor(request);
+  ASSERT_EQ(first, scheduler.BuildRankedView(request));
+
+  registry_.Forget(7);
+  registry_.Predict(7, topo_.name(), 16, first_probes.perf_b * 1.7,
+                    first_probes.perf_a * 0.6);
+  const RankedView& second = scheduler.RankedViewFor(request);
+  EXPECT_EQ(second, scheduler.BuildRankedView(request));
+  EXPECT_NE(second.predicted_abs, first.predicted_abs);
+  EXPECT_EQ(scheduler.PreviewAdmission(request), ReferencePreview(scheduler, request));
+}
+
+TEST_F(SchedulerTest, MachinesWithOtherInputsRankTheSharedPredictionThemselves) {
+  // Three schedulers share one registry, as machines of a topology group
+  // do, but differ in baseline id or fallback slack: each one's view and
+  // previews must be its own, however the memo was filled before.
+  SchedulerConfig other_baseline;
+  other_baseline.baseline_id = 2;
+  SchedulerConfig wide_slack;
+  wide_slack.baseline_id = 1;
+  wide_slack.fallback_slack = 0.5;
+  std::vector<MachineScheduler> schedulers;
+  schedulers.push_back(MakeScheduler());
+  for (const SchedulerConfig& config : {other_baseline, wide_slack}) {
+    schedulers.emplace_back(topo_, sim_, &registry_, config);
+    schedulers.back().ProvidePlacements(ips_);
+  }
+  // Goals no placement meets, so the slack decides the fallback order.
+  std::map<int, ContainerRequest> requests;
+  const std::vector<std::string> workloads = {"gcc", "wc", "streamcluster", "swaptions"};
+  for (int id = 1; id <= 4; ++id) {
+    requests.emplace(id, MakeRequest(id, workloads[static_cast<size_t>(id - 1)], 1.5));
+    schedulers[0].EnsureProbes(requests.at(id));
+  }
+  int differing_orders = 0;
+  for (int round = 0; round < 2; ++round) {
+    for (const MachineScheduler& scheduler : schedulers) {
+      ASSERT_TRUE(ViewsMatchAFreshRanking(scheduler, registry_, requests));
+    }
+  }
+  for (const auto& [id, request] : requests) {
+    differing_orders +=
+        schedulers[0].BuildRankedView(request).order !=
+                schedulers[2].BuildRankedView(request).order
+            ? 1
+            : 0;
+  }
+  // The wide slack really ranks differently, so sharing one view across
+  // the three would have been wrong.
+  EXPECT_GT(differing_orders, 0);
+  // Occupancy does not enter the view: a half-full machine reads the same
+  // one as an empty machine with the same inputs.
+  MachineScheduler busy = MakeScheduler();
+  ASSERT_TRUE(busy.Submit(MakeRequest(9, "gcc", 0.5), 0.0).admitted);
+  ASSERT_TRUE(busy.Submit(MakeRequest(10, "gcc", 0.5), 0.0).admitted);
+  for (const auto& [id, request] : requests) {
+    EXPECT_EQ(busy.RankedViewFor(request), schedulers[0].BuildRankedView(request));
+  }
 }
 
 TEST_F(SchedulerTest, AnUpgradeAloneMovesTheTenantGeneration) {
