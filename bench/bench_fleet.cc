@@ -45,8 +45,8 @@
 // and evacuation — rather than dispatch: fleets 16 -> 1024 machines replay
 // the same trace with a mid-trace mass evacuation (an eighth of the fleet
 // drains at the halfway mark and rejoins at three quarters), once with the
-// capacity-index-guided sharded target search and once with the legacy
-// full scan. Every sharded run must hold the sublinear preview bound
+// capacity-index-guided sharded target search and once with the full scan
+// (fleet_probes = 0). Every sharded run must hold the sublinear preview bound
 // previews <= searches * max_cell_size * fleet_probes, asserted from the
 // FleetStats counters — a violation fails the bench (and CI, which runs
 // the 1024-machine row in smoke mode). Full mode additionally enforces
@@ -438,7 +438,9 @@ FleetOpsRow RunFleetOps(const FleetDef& def, const std::map<std::string, GroupAs
   FleetConfig config;
   config.dispatch = "least-loaded";
   config.rebalance_on_departure = true;
-  config.sharded_fleet_ops = sharded_ops;
+  if (!sharded_ops) {
+    config.fleet_probes = 0;  // the full scan
+  }
   FleetScheduler fleet = BuildFleet(def, groups, config);
 
   FleetOpsRow row;

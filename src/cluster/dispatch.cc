@@ -17,6 +17,10 @@ const std::string kRoundRobinName = "round-robin";
 const std::string kBestPredictedName = "best-predicted";
 const std::string kShardedName = "sharded";
 
+// Seed of the sharded dispatcher's cell-sampling stream: decisions are
+// reproducible run-to-run for a fixed event sequence.
+constexpr uint64_t kCellSamplingSeed = 17;
+
 void ValidateContext(const DispatchContext& ctx) {
   NP_CHECK(ctx.request != nullptr);
   NP_CHECK(ctx.machines != nullptr);
@@ -148,7 +152,7 @@ std::vector<size_t> BestPredictedDispatch::Rank(const DispatchContext& ctx) {
 ShardedDispatchPolicy::ShardedDispatchPolicy(ShardedDispatchConfig config)
     : config_(std::move(config)),
       inner_(MakeDispatchPolicy(config_.inner)),
-      rng_(config_.seed) {
+      rng_(kCellSamplingSeed) {
   NP_CHECK_MSG(config_.cells >= 0,
                "sharded dispatch cell count cannot be negative (0 = auto)");
   NP_CHECK_MSG(config_.probes >= 1,

@@ -36,9 +36,6 @@
 
 namespace numaplace {
 
-class FailureDomainTopology;
-class DomainOccupancy;
-
 /// Static machine -> cell partition shared by the sharded dispatcher and
 /// the fleet's per-cell capacity index (src/cluster/capacity_index.h).
 /// Built once at BindMembership time; never rebuilt on availability churn,
@@ -92,9 +89,9 @@ struct DispatchContext {
 /// Availability and capacity of one machine as continuously maintained by
 /// the owning fleet (see DispatchPolicy::BindMembership). Unlike the
 /// per-decision MachineCandidate, this view is long-lived: the fleet updates
-/// `availability` in place on every fail/drain/rejoin event, so cell-aware
-/// dispatchers track membership incrementally instead of re-deriving it per
-/// decision.
+/// `availability` in place on every fail/drain/rejoin event — it is the
+/// fleet's own availability record — so cell-aware dispatchers track
+/// membership incrementally instead of re-deriving it per decision.
 struct MachineMembership {
   /// Stable fleet-wide machine id; equals the entry's index in the view.
   int machine_id = 0;
@@ -126,17 +123,6 @@ class DispatchPolicy {
   /// derived here — like the sharded cell index — survive availability
   /// churn without rebuilding. Flat policies ignore the call.
   virtual void BindMembership(const std::vector<MachineMembership>* /*membership*/) {}
-
-  /// Called once by the owning FleetScheduler, after BindMembership, with
-  /// its failure-domain topology and live per-service-group domain-occupancy
-  /// view (src/cluster/domains.h). Both outlive the policy; the occupancy
-  /// view is updated in place as containers land, move and depart. The
-  /// fleet itself applies the spread dimension (rack co-location penalties
-  /// in its machine choice and evacuation/rebalance target searches), so
-  /// built-in policies ignore the call — the hook exists for plugin
-  /// dispatchers that want domain-aware preselection or ranking.
-  virtual void BindDomains(const FailureDomainTopology* /*domains*/,
-                           const DomainOccupancy* /*occupancy*/) {}
 
   /// Machine ids the fleet should build candidates (and, under
   /// NeedsPreviews(), admission previews) for on this decision; empty means
@@ -204,9 +190,6 @@ struct ShardedDispatchConfig {
   /// Registered name of the inner dispatcher that ranks candidates within
   /// the sampled cells.
   std::string inner = "best-predicted";
-  /// Seed of the deterministic cell-sampling stream (decisions are
-  /// reproducible run-to-run for a fixed seed and event sequence).
-  uint64_t seed = 17;
 };
 
 /// Two-level "power of d choices" dispatch for 100+ machine fleets.

@@ -8,6 +8,22 @@
 
 namespace numaplace {
 
+namespace {
+
+// Cross-machine moves copy the container's memory (anon + page cache) over
+// the network; seconds per GB on top of the §7 migration estimate.
+constexpr double kNetworkSecondsPerGb = 0.5;
+// A move's predicted throughput gain is credited over this horizon (the
+// expected residual lifetime under the trace generator's exponential
+// lifetimes) and must beat the ops lost while the move runs.
+constexpr double kRebalanceHorizonSeconds = 600.0;
+// Measurement noise of the per-machine simulators; machine m draws from
+// kNoiseSeed + m, so identical boxes still measure like distinct hardware.
+constexpr double kNoiseSigma = 0.01;
+constexpr uint64_t kNoiseSeed = 5;
+
+}  // namespace
+
 FleetScheduler::FleetScheduler(std::vector<MachineSpec> specs, FleetConfig config)
     : FleetScheduler(std::move(specs), config, MakeDispatchPolicy(config.dispatch)) {}
 
@@ -19,13 +35,9 @@ FleetScheduler::FleetScheduler(std::vector<MachineSpec> specs, FleetConfig confi
       throttled_migrator_() {
   NP_CHECK(dispatch_ != nullptr);
   NP_CHECK_MSG(!specs.empty(), "a fleet needs at least one machine");
-  NP_CHECK(config_.network_seconds_per_gb >= 0.0);
-  NP_CHECK(config_.rebalance_horizon_seconds > 0.0);
   NP_CHECK(config_.rebalance_min_gain >= 0.0);
-  NP_CHECK_MSG(config_.fleet_cells >= 0,
-               "fleet capacity-index cell count cannot be negative (0 = auto)");
   NP_CHECK_MSG(config_.fleet_probes >= 0,
-               "fleet_probes cannot be negative (0 = every eligible cell)");
+               "fleet_probes cannot be negative (0 = the full scan)");
   NP_CHECK_MSG(config_.domain_racks >= 0,
                "domain_racks cannot be negative (0 = auto fan-out)");
   NP_CHECK_MSG(config_.domain_zones >= 0,
@@ -62,10 +74,10 @@ FleetScheduler::FleetScheduler(std::vector<MachineSpec> specs, FleetConfig confi
     Group& group = groups_[machine.group];
     group.machine_ids.push_back(static_cast<int>(i));
     machine.topo = std::make_unique<Topology>(std::move(specs[i].topo));
-    machine.solo = std::make_unique<PerformanceModel>(
-        *machine.topo, config_.noise_sigma, config_.noise_seed + i);
-    machine.multi = std::make_unique<MultiTenantModel>(
-        *machine.topo, config_.noise_sigma, config_.noise_seed + i);
+    machine.solo =
+        std::make_unique<PerformanceModel>(*machine.topo, kNoiseSigma, kNoiseSeed + i);
+    machine.multi =
+        std::make_unique<MultiTenantModel>(*machine.topo, kNoiseSigma, kNoiseSeed + i);
     machine.scheduler = std::make_unique<MachineScheduler>(
         *machine.topo, *machine.solo, group.registry.get(), specs[i].scheduler);
     machines_.push_back(std::move(machine));
@@ -85,28 +97,21 @@ FleetScheduler::FleetScheduler(std::vector<MachineSpec> specs, FleetConfig confi
   }
   dispatch_->BindMembership(membership_.get());
   // The capacity index mirrors the sharded dispatcher's cell partition
-  // when one is active (and config.fleet_cells doesn't override it), so
-  // "promising cell" means the same thing to dispatch sampling and to
-  // rebalance/evacuation target searches; under a flat dispatcher it
-  // builds the same modulo layout the dispatcher would have.
-  CellLayout layout;
+  // when one is active, so "promising cell" means the same thing to
+  // dispatch sampling and to rebalance/evacuation target searches; under a
+  // flat dispatcher it builds the same modulo layout the dispatcher would
+  // have.
   const auto* sharded = dynamic_cast<const ShardedDispatchPolicy*>(dispatch_.get());
-  if (config_.fleet_cells == 0 && sharded != nullptr) {
-    layout = sharded->layout();
-  } else {
-    layout = MakeInterleavedCells(NumMachines(), config_.fleet_cells);
-  }
-  capacity_index_.Bind(membership_.get(), std::move(layout));
+  capacity_index_.Bind(membership_.get(), sharded != nullptr
+                                              ? sharded->layout()
+                                              : MakeInterleavedCells(NumMachines(), 0));
   // The failure-domain topology (uniform by default; ProvideDomains swaps in
-  // an explicit layout before traffic) and its live occupancy view, both
-  // heap-allocated so the addresses the policy holds survive moving the
-  // fleet. Unlike dispatch cells, domains are contiguous machine blocks —
-  // racks are physical neighbors, not an interleaved spreading device.
+  // an explicit layout before traffic) and its live occupancy view. Unlike
+  // dispatch cells, domains are contiguous machine blocks — racks are
+  // physical neighbors, not an interleaved spreading device.
   domains_ = std::make_unique<FailureDomainTopology>(FailureDomainTopology::Uniform(
       NumMachines(), config_.domain_racks, config_.domain_zones));
-  domain_occupancy_ = std::make_unique<DomainOccupancy>();
-  domain_occupancy_->Bind(domains_.get());
-  dispatch_->BindDomains(domains_.get(), domain_occupancy_.get());
+  domain_occupancy_.Bind(domains_.get());
 }
 
 void FleetScheduler::ProvideDomains(FailureDomainTopology domains) {
@@ -117,23 +122,22 @@ void FleetScheduler::ProvideDomains(FailureDomainTopology domains) {
   NP_CHECK_MSG(machine_of_.empty() && unplaced_.empty(),
                "failure-domain layout must be fixed before any container is live");
   *domains_ = std::move(domains);
-  // Re-bind to resize the occupancy vectors to the new rack/zone counts
-  // (the topology's address is unchanged, so the policy's pointers stand).
-  domain_occupancy_->Bind(domains_.get());
+  // Re-bind to resize the occupancy vectors to the new rack/zone counts.
+  domain_occupancy_.Bind(domains_.get());
 }
 
 std::map<std::string, int> FleetScheduler::DomainsToLoss(DomainScope scope) const {
   std::map<std::string, int> by_group;
-  for (const std::string& group : domain_occupancy_->Groups()) {
-    by_group[group] = domain_occupancy_->DomainsToLoss(group, scope);
+  for (const std::string& group : domain_occupancy_.Groups()) {
+    by_group[group] = domain_occupancy_.DomainsToLoss(group, scope);
   }
   return by_group;
 }
 
 int FleetScheduler::RackColocation(const ContainerRequest& request,
                                    int machine_id) const {
-  return domain_occupancy_->CountIn(ServiceGroupOf(request.workload.name),
-                                    DomainScope::kRack, domains_->RackOf(machine_id));
+  return domain_occupancy_.CountIn(ServiceGroupOf(request.workload.name),
+                                   DomainScope::kRack, domains_->RackOf(machine_id));
 }
 
 MachineScheduler& FleetScheduler::machine(int machine_id) {
@@ -158,7 +162,7 @@ const MultiTenantModel& FleetScheduler::multi_model(int machine_id) const {
 
 MachineAvailability FleetScheduler::availability(int machine_id) const {
   NP_CHECK(machine_id >= 0 && machine_id < NumMachines());
-  return machines_[static_cast<size_t>(machine_id)].availability;
+  return (*membership_)[static_cast<size_t>(machine_id)].availability;
 }
 
 std::vector<std::string> FleetScheduler::GroupNames() const {
@@ -210,12 +214,11 @@ const Migrator& FleetScheduler::MigratorFor(const ContainerRequest& request) con
 
 void FleetScheduler::EnsureGroupProbes(size_t group, const ContainerRequest& request) {
   for (int m : groups_[group].machine_ids) {
-    Machine& machine = machines_[static_cast<size_t>(m)];
     // A failed or draining machine runs nothing, probes included.
-    if (machine.availability != MachineAvailability::kUp) {
+    if (availability(m) != MachineAvailability::kUp) {
       continue;
     }
-    MachineScheduler& scheduler = *machine.scheduler;
+    MachineScheduler& scheduler = *machines_[static_cast<size_t>(m)].scheduler;
     if (!scheduler.policy().UsesModel()) {
       continue;
     }
@@ -257,7 +260,7 @@ std::vector<MachineCandidate> FleetScheduler::BuildCandidates(
     std::vector<char> probed(groups_.size(), 0);
     for (int m : machine_ids) {
       const Machine& machine = machines_[static_cast<size_t>(m)];
-      if (machine.availability == MachineAvailability::kUp &&
+      if (availability(m) == MachineAvailability::kUp &&
           request.vcpus <= machine.topo->NumHwThreads() && probed[machine.group] == 0) {
         probed[machine.group] = 1;
         EnsureGroupProbes(machine.group, request);
@@ -273,7 +276,7 @@ std::vector<MachineCandidate> FleetScheduler::BuildCandidates(
       continue;  // a machine the container cannot fit on is never a candidate
     }
     fits_any_topology = true;
-    if (machine.availability != MachineAvailability::kUp) {
+    if (availability(m) != MachineAvailability::kUp) {
       continue;  // failed/draining machines receive no dispatches
     }
     MachineCandidate candidate;
@@ -307,76 +310,67 @@ int FleetScheduler::ChooseMachine(const ContainerRequest& request,
   const std::vector<size_t> order = dispatch_->Rank(ctx);
   NP_CHECK_MSG(!order.empty(),
                "dispatch policy '" << dispatch_->name() << "' ranked no machines");
-  size_t chosen = order.front();
-  NP_CHECK_MSG(chosen < candidates.size(), "dispatch policy '" << dispatch_->name()
-                                                               << "' ranked machine index "
-                                                               << chosen << " out of range");
-  if (SpreadActive()) {
-    // Spread dimension: re-score the policy's ranking with a rack
-    // co-location penalty — score = rank position + spread_weight * (group
-    // replicas already in the candidate's rack), plus a dominating penalty
-    // past the spread_max_per_rack cap. The policy still orders machines by
-    // its own signal (load, predicted margin); spread only trades rank
-    // positions against co-location, so it composes with any dispatcher,
-    // sharded included. The cap is soft here — when every candidate's rack
-    // is capped the least-bad one still takes the container (a placement
-    // always beats stranding work; the hard cap lives in the fleet-op
-    // target searches, where declining a move is safe).
-    constexpr double kCapPenalty = 1e9;
-    const auto score_of = [&](size_t position, size_t idx) {
+  // A candidate's score is its rank position. The spread dimension adds a
+  // rack co-location penalty — spread_weight * (group replicas already in
+  // the candidate's rack), plus a dominating penalty past the
+  // spread_max_per_rack cap. The policy still orders machines by its own
+  // signal (load, predicted margin); spread only trades rank positions
+  // against co-location, so it composes with any dispatcher, sharded
+  // included. The cap is soft here — when every candidate's rack is capped
+  // the least-bad one still takes the container (a placement always beats
+  // stranding work; the hard cap lives in the fleet-op target searches,
+  // where declining a move is safe). With spread off the score is the rank
+  // position, so the choice is the first ranked machine that matches.
+  constexpr double kCapPenalty = 1e9;
+  const auto score_of = [&](size_t position, size_t idx) {
+    double score = static_cast<double>(position);
+    if (SpreadActive()) {
       const int colocated = RackColocation(request, candidates[idx].machine_id);
-      double score = static_cast<double>(position) + config_.spread_weight * colocated;
+      score += config_.spread_weight * colocated;
       if (config_.spread_max_per_rack > 0 && colocated >= config_.spread_max_per_rack) {
         score += kCapPenalty;
       }
-      return score;
-    };
-    const auto best_by_score = [&](bool realizable_only) {
-      size_t best = order.size();  // sentinel: none matched
-      double best_score = 0.0;
-      for (size_t position = 0; position < order.size(); ++position) {
-        const size_t idx = order[position];
-        NP_CHECK(idx < candidates.size());
-        if (realizable_only && !candidates[idx].preview.realizable) {
-          continue;
-        }
-        const double score = score_of(position, idx);
-        if (best == order.size() || score < best_score) {
-          best = idx;
-          best_score = score;  // ties keep the earlier rank position
-        }
-      }
-      return best;
-    };
-    size_t best = dispatch_->NeedsPreviews() ? best_by_score(/*realizable_only=*/true)
-                                             : best_by_score(/*realizable_only=*/false);
-    if (best == order.size()) {
-      // No realizable candidate: queue on the spread-best machine overall.
-      best = best_by_score(/*realizable_only=*/false);
     }
-    NP_CHECK(best < candidates.size());
-    return candidates[best].machine_id;
-  }
-  if (dispatch_->NeedsPreviews()) {
-    // Prefer the best-ranked machine that can admit right now over queueing
-    // on the overall favorite.
-    for (size_t idx : order) {
-      NP_CHECK(idx < candidates.size());
-      if (candidates[idx].preview.realizable) {
-        chosen = idx;
-        break;
+    return score;
+  };
+  const auto best_by_score = [&](bool realizable_only) {
+    size_t best = order.size();  // sentinel: none matched
+    double best_score = 0.0;
+    for (size_t position = 0; position < order.size(); ++position) {
+      const size_t idx = order[position];
+      NP_CHECK_MSG(idx < candidates.size(), "dispatch policy '"
+                                                << dispatch_->name()
+                                                << "' ranked machine index " << idx
+                                                << " out of range");
+      if (realizable_only && !candidates[idx].preview.realizable) {
+        continue;
+      }
+      const double score = score_of(position, idx);
+      if (best == order.size() || score < best_score) {
+        best = idx;
+        best_score = score;  // ties keep the earlier rank position
       }
     }
+    return best;
+  };
+  // Prefer the best-scored machine that can admit right now over queueing
+  // on the best-scored machine overall.
+  size_t best = dispatch_->NeedsPreviews() ? best_by_score(/*realizable_only=*/true)
+                                           : order.size();
+  if (best == order.size()) {
+    best = best_by_score(/*realizable_only=*/false);
   }
-  return candidates[chosen].machine_id;
+  return candidates[best].machine_id;
 }
 
 void FleetScheduler::RecordAdmission(const ScheduleOutcome& outcome, double now) {
-  if (!outcome.admitted || waiting_.erase(outcome.container_id) == 0) {
+  const auto waiting = waiting_.find(outcome.container_id);
+  if (!outcome.admitted || waiting == waiting_.end()) {
     return;
   }
-  stats_.queue_wait_seconds += now - submit_time_.at(outcome.container_id);
+  stats_.queue_wait_seconds += now - waiting->second;
   ++stats_.queue_admissions;
+  waiting_.erase(waiting);
 }
 
 void FleetScheduler::SetTier(int container_id, SloTier tier) {
@@ -422,8 +416,8 @@ AdmissionContext FleetScheduler::BuildAdmissionContext(
     }
   }
   // A preemption victim exists when some waiting container is best-effort;
-  // waiting_ is a sorted set, so the scan (early-exited) is deterministic.
-  for (const int id : waiting_) {
+  // waiting_ is ordered by id, so the scan (early-exited) is deterministic.
+  for (const auto& [id, since] : waiting_) {
     if (ContainerTier(id) == SloTier::kBestEffort) {
       ctx.queued_best_effort = true;
       break;
@@ -434,7 +428,7 @@ AdmissionContext FleetScheduler::BuildAdmissionContext(
 
 void FleetScheduler::PreemptQueuedBestEffort(double now, EventObserver* observer) {
   int victim = kNoMachine;
-  for (const int id : waiting_) {
+  for (const auto& [id, since] : waiting_) {
     if (ContainerTier(id) == SloTier::kBestEffort) {
       victim = id;
       break;
@@ -465,10 +459,9 @@ void FleetScheduler::PreemptQueuedBestEffort(double now, EventObserver* observer
     source.Depart(victim, now, /*forget_probes=*/true, /*replace=*/false);
     capacity_index_.OnOccupancyChange(victim_machine);
     machine_of_.erase(victim);
-    domain_occupancy_->Remove(victim);
+    domain_occupancy_.Remove(victim);
   }
   waiting_.erase(victim);
-  submit_time_.erase(victim);
   SetTier(victim, SloTier::kStandard);
   for (Group& group : groups_) {
     group.registry->Forget(victim);
@@ -508,7 +501,7 @@ FleetOutcome FleetScheduler::Dispatch(const ContainerRequest& request, double no
     // Every machine that could hold the container is failed or draining:
     // wait fleet-wide until capacity returns (DrainUnplaced retries).
     unplaced_[request.id] = request;
-    waiting_.insert(request.id);
+    waiting_.emplace(request.id, now);
     // A new fleet-wide waiter is a rebalance candidate the occupancy
     // deltas cannot see.
     capacity_index_.MarkCapacityChanged();
@@ -525,7 +518,7 @@ FleetOutcome FleetScheduler::Dispatch(const ContainerRequest& request, double no
   // dimension and is no longer unplaced.
   unplaced_.erase(request.id);
   machine_of_[request.id] = machine_id;
-  domain_occupancy_->Add(request.id, ServiceGroupOf(request.workload.name), machine_id);
+  domain_occupancy_.Add(request.id, ServiceGroupOf(request.workload.name), machine_id);
 
   ScheduleOutcome outcome =
       machines_[static_cast<size_t>(machine_id)].scheduler->Submit(request, now);
@@ -541,7 +534,7 @@ FleetOutcome FleetScheduler::Dispatch(const ContainerRequest& request, double no
       observer->OnAdmission(machine_id, outcome, now);
     }
   } else {
-    waiting_.insert(outcome.container_id);
+    waiting_.emplace(outcome.container_id, now);
     // Likewise a machine-queued waiter.
     capacity_index_.MarkCapacityChanged();
     if (observer != nullptr) {
@@ -572,9 +565,9 @@ FleetOutcome FleetScheduler::Submit(const ContainerRequest& request, double now,
     }
     switch (decision) {
       case AdmissionDecision::kReject:
-        // Shed before any state is held: no submit_time_, no wait-set
-        // entry, no dispatch — only the rejected_ entry that makes the
-        // container's trace departure a no-op.
+        // Shed before any state is held: no wait-set entry, no dispatch —
+        // only the rejected_ entry that makes the container's trace
+        // departure a no-op.
         ++stats_.tier_rejected[t];
         rejected_.insert(request.id);
         {
@@ -588,9 +581,8 @@ FleetOutcome FleetScheduler::Submit(const ContainerRequest& request, double now,
         ++stats_.tier_deferred[t];
         ++stats_.queued;
         SetTier(request.id, tier);
-        submit_time_[request.id] = now;
         unplaced_[request.id] = request;
-        waiting_.insert(request.id);
+        waiting_.emplace(request.id, now);
         capacity_index_.MarkCapacityChanged();
         ScheduleOutcome outcome;
         outcome.container_id = request.id;
@@ -608,7 +600,6 @@ FleetOutcome FleetScheduler::Submit(const ContainerRequest& request, double now,
         break;
     }
   }
-  submit_time_[request.id] = now;
   FleetOutcome dispatched = Dispatch(request, now, observer);
   ++(dispatched.outcome.admitted ? stats_.dispatched_immediately : stats_.queued);
   return dispatched;
@@ -625,7 +616,6 @@ void FleetScheduler::Depart(int container_id, double now, EventObserver* observe
   if (unplaced_.erase(container_id) > 0) {
     // Departed while waiting fleet-wide: nothing was held anywhere.
     waiting_.erase(container_id);
-    submit_time_.erase(container_id);
     SetTier(container_id, SloTier::kStandard);
     for (Group& group : groups_) {
       group.registry->Forget(container_id);
@@ -654,9 +644,8 @@ void FleetScheduler::Depart(int container_id, double now, EventObserver* observe
     group.registry->Forget(container_id);
   }
   machine_of_.erase(container_id);
-  domain_occupancy_->Remove(container_id);
+  domain_occupancy_.Remove(container_id);
   waiting_.erase(container_id);
-  submit_time_.erase(container_id);
   SetTier(container_id, SloTier::kStandard);
   if (observer != nullptr) {
     observer->OnDeparture(machine_id, container_id, now);
@@ -677,19 +666,16 @@ void FleetScheduler::SetAvailability(int machine_id, MachineAvailability availab
                                      double now, EventObserver* observer) {
   // up_threads_ moves only on real up<->down transitions (draining then
   // failing the same machine must not be subtracted twice).
-  const bool was_up = machines_[static_cast<size_t>(machine_id)].availability ==
-                      MachineAvailability::kUp;
+  MachineMembership& member = (*membership_)[static_cast<size_t>(machine_id)];
+  const bool was_up = member.availability == MachineAvailability::kUp;
   const bool is_up = availability == MachineAvailability::kUp;
   if (was_up != is_up) {
-    const long long threads =
-        machines_[static_cast<size_t>(machine_id)].topo->NumHwThreads();
-    up_threads_ += is_up ? threads : -threads;
+    up_threads_ += is_up ? member.hw_threads : -member.hw_threads;
   }
-  machines_[static_cast<size_t>(machine_id)].availability = availability;
-  // Keep the dispatch policy's membership view current: cell-aware
-  // dispatchers read this in place instead of being rebuilt, so cell
-  // assignments survive fail/drain/rejoin cycles.
-  (*membership_)[static_cast<size_t>(machine_id)].availability = availability;
+  // The membership view is the availability record: cell-aware dispatchers
+  // read it in place instead of being rebuilt, so cell assignments survive
+  // fail/drain/rejoin cycles.
+  member.availability = availability;
   // Same for the capacity index: the machine moves into or out of its
   // cell's up-aggregates while keeping its cell for a later rejoin.
   capacity_index_.OnAvailabilityChange(machine_id);
@@ -758,7 +744,7 @@ void FleetScheduler::Evacuate(int machine_id, bool graceful, double now,
     source.Depart(evacuee.request.id, now, /*forget_probes=*/false, /*replace=*/false);
     machine_of_.erase(evacuee.request.id);
     // Off the domain map until it lands again (below or through Dispatch).
-    domain_occupancy_->Remove(evacuee.request.id);
+    domain_occupancy_.Remove(evacuee.request.id);
   }
   // The machine left the up-aggregates at SetAvailability; this keeps the
   // index's cached free count current for its eventual rejoin.
@@ -792,59 +778,27 @@ void FleetScheduler::Evacuate(int machine_id, bool graceful, double now,
     search.was_queued = evacuee.was_queued;
     search.reason = graceful ? RebalanceMove::Reason::kDrain
                              : RebalanceMove::Reason::kFailover;
-    search.previews = &stats_.evac_previews;
-    ++stats_.evac_decisions;
     RebalanceMove best_move;
-    const int evac_previews_before = stats_.evac_previews;
-    const double search_seconds_before = stats_.fleet_op_search_seconds;
-    const int best_target = FindBestTarget(search, &best_move);
-    if (observer != nullptr) {
-      TargetSearchStats search_stats;
-      search_stats.kind = TargetSearchStats::Kind::kEvacuation;
-      search_stats.previews = stats_.evac_previews - evac_previews_before;
-      search_stats.host_seconds =
-          stats_.fleet_op_search_seconds - search_seconds_before;
-      observer->OnTargetSearch(search_stats, now);
-    }
-
-    if (best_target >= 0) {
-      ScheduleOutcome moved =
-          machines_[static_cast<size_t>(best_target)].scheduler->Submit(request, now);
-      NP_CHECK_MSG(moved.admitted, "evacuation preview promised admission of container "
-                                       << request.id << " on machine " << best_target);
-      machine_of_[request.id] = best_target;
-      domain_occupancy_->Add(request.id, ServiceGroupOf(request.workload.name),
-                             best_target);
-      capacity_index_.OnOccupancyChange(best_target);
-      if (!moved.meets_goal) {
-        capacity_index_.MarkCapacityChanged();  // the landing is a new mover
-      }
-      RecordAdmission(moved, now);
+    if (FindBestTarget(search, now, observer, &best_move) >= 0) {
+      domain_occupancy_.Add(request.id, ServiceGroupOf(request.workload.name),
+                            best_move.to_machine);
+      CommitMove(request, best_move, now, observer);
       ++stats_.evacuation_moves;
       ++(graceful ? stats_.drain_moves : stats_.failover_moves);
-      stats_.cross_machine_move_seconds += best_move.move_seconds;
-      stats_.network_copy_seconds += best_move.network_seconds;
-      rebalance_log_.push_back(best_move);
       ++report.rehomed;
       report.last_landing_seconds =
           std::max(report.last_landing_seconds, best_move.move_seconds);
       report.move_seconds_total += best_move.move_seconds;
       report.network_seconds_total += best_move.network_seconds;
-      if (observer != nullptr) {
-        observer->OnAdmission(best_target, moved, now);
-        observer->OnMove(best_move, now);
-      }
     } else {
       // No target is worth a live migration (none realizable, or the copy
       // costs more than the horizon returns): stop the container — dropping
       // its memory image instead of copying it — and send it back through
-      // dispatch, where it restarts from scratch or waits. Any wait is
-      // measured from the disruption; Dispatch adds it to waiting_ only if
-      // it actually queues, so an instant restart never counts as a queue
-      // admission.
-      if (!evacuee.was_queued) {
-        submit_time_[request.id] = now;
-      }
+      // dispatch, where it restarts from scratch or waits. A running
+      // evacuee is not waiting, so any wait Dispatch starts runs from the
+      // disruption; a queued one keeps its original wait start. Dispatch
+      // adds it to waiting_ only if it actually queues, so an instant
+      // restart never counts as a queue admission.
       const FleetOutcome redispatched = Dispatch(request, now, observer);
       if (redispatched.outcome.admitted) {
         ++report.rehomed;  // restarted on another machine, state lost
@@ -881,12 +835,12 @@ std::vector<int> FleetScheduler::SelectFleetOpTargets(const ContainerRequest& re
     // important placement realizes on exactly vcpus free hardware threads,
     // so a machine with fewer free threads can never preview realizable —
     // skipping it changes no decision, only saves the preview.
-    return m != exclude_machine && machine.availability == MachineAvailability::kUp &&
+    return m != exclude_machine && availability(m) == MachineAvailability::kUp &&
            request.vcpus <= machine.topo->NumHwThreads() &&
            machine.scheduler->occupancy().FreeThreadCount() >= request.vcpus;
   };
   std::vector<int> targets;
-  if (config_.sharded_fleet_ops) {
+  if (config_.fleet_probes > 0) {
     const std::vector<int> cells =
         capacity_index_.PromisingCells(request.vcpus, config_.fleet_probes);
     if (!cells.empty()) {
@@ -915,9 +869,12 @@ std::vector<int> FleetScheduler::SelectFleetOpTargets(const ContainerRequest& re
   return targets;
 }
 
-int FleetScheduler::FindBestTarget(const TargetSearch& search, RebalanceMove* best_move) {
+int FleetScheduler::FindBestTarget(const TargetSearch& search, double now,
+                                   EventObserver* observer, RebalanceMove* best_move) {
   const auto search_start = std::chrono::steady_clock::now();
   const ContainerRequest& request = *search.request;
+  const bool rebalance = search.reason == RebalanceMove::Reason::kRebalance;
+  int previews = 0;
   int best_target = -1;
   double best_score = 0.0;  // spread-discounted surplus the ranking compares
   for (int t : SelectFleetOpTargets(request, search.exclude_machine)) {
@@ -941,9 +898,7 @@ int FleetScheduler::FindBestTarget(const TargetSearch& search, RebalanceMove* be
     EnsureGroupProbes(target.group, request);
     const MachineScheduler::AdmissionPreview preview =
         target.scheduler->PreviewAdmission(request);
-    if (search.previews != nullptr) {
-      ++*search.previews;
-    }
+    ++previews;
     if (!preview.realizable) {
       continue;
     }
@@ -973,11 +928,11 @@ int FleetScheduler::FindBestTarget(const TargetSearch& search, RebalanceMove* be
     double cost_ops = 0.0;
     if (search.pay_migration) {
       const MigrationEstimate estimate = MigratorFor(request).Migrate(request.workload);
-      network_seconds = config_.network_seconds_per_gb * request.workload.TotalMemoryGb();
+      network_seconds = kNetworkSecondsPerGb * request.workload.TotalMemoryGb();
       move_seconds = estimate.seconds + network_seconds;
       cost_ops = move_seconds * estimate.overhead_fraction * search.current_abs;
     }
-    const double gain_ops = gain_rate * config_.rebalance_horizon_seconds;
+    const double gain_ops = gain_rate * kRebalanceHorizonSeconds;
     if (gain_ops <= cost_ops) {
       continue;
     }
@@ -997,10 +952,44 @@ int FleetScheduler::FindBestTarget(const TargetSearch& search, RebalanceMove* be
       best_move->network_seconds = network_seconds;
     }
   }
-  stats_.fleet_op_search_seconds +=
+  const double search_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - search_start)
           .count();
+  stats_.fleet_op_search_seconds += search_seconds;
+  ++(rebalance ? stats_.rebalance_decisions : stats_.evac_decisions);
+  (rebalance ? stats_.rebalance_previews : stats_.evac_previews) += previews;
+  if (observer != nullptr) {
+    TargetSearchStats search_stats;
+    search_stats.kind = rebalance ? TargetSearchStats::Kind::kRebalance
+                                  : TargetSearchStats::Kind::kEvacuation;
+    search_stats.previews = previews;
+    search_stats.host_seconds = search_seconds;
+    observer->OnTargetSearch(search_stats, now);
+  }
   return best_target;
+}
+
+void FleetScheduler::CommitMove(const ContainerRequest& request, const RebalanceMove& move,
+                                double now, EventObserver* observer) {
+  const int target = move.to_machine;
+  ScheduleOutcome moved =
+      machines_[static_cast<size_t>(target)].scheduler->Submit(request, now);
+  NP_CHECK_MSG(moved.admitted, ToString(move.reason)
+                                   << " preview promised admission of container "
+                                   << request.id << " on machine " << target);
+  machine_of_[request.id] = target;
+  capacity_index_.OnOccupancyChange(target);
+  if (!moved.meets_goal) {
+    capacity_index_.MarkCapacityChanged();  // the landing is a new mover
+  }
+  RecordAdmission(moved, now);
+  stats_.cross_machine_move_seconds += move.move_seconds;
+  stats_.network_copy_seconds += move.network_seconds;
+  rebalance_log_.push_back(move);
+  if (observer != nullptr) {
+    observer->OnAdmission(target, moved, now);
+    observer->OnMove(move, now);
+  }
 }
 
 void FleetScheduler::RebalancePass(double now, EventObserver* observer) {
@@ -1023,18 +1012,18 @@ void FleetScheduler::RebalancePass(double now, EventObserver* observer) {
     int id = 0;
     int from = 0;
     bool queued = false;
-    double submit_time = 0.0;  // the sort key of a queued mover
+    double wait_start = 0.0;  // the sort key of a queued mover
   };
-  // Queued containers first (oldest submission first, fleet-wide — the FIFO
+  // Queued containers first (longest waiting first, fleet-wide — the FIFO
   // the per-machine queues honor locally), then degraded incumbents.
   std::vector<Mover> movers;
   for (int m = 0; m < NumMachines(); ++m) {
     for (int id : machines_[static_cast<size_t>(m)].scheduler->PendingIds()) {
-      movers.push_back({id, m, true, submit_time_.at(id)});
+      movers.push_back({id, m, true, waiting_.at(id)});
     }
   }
   std::stable_sort(movers.begin(), movers.end(), [](const Mover& a, const Mover& b) {
-    return a.submit_time < b.submit_time;
+    return a.wait_start < b.wait_start;
   });
   for (int m = 0; m < NumMachines(); ++m) {
     for (int id : machines_[static_cast<size_t>(m)].scheduler->RunningIds()) {
@@ -1074,21 +1063,8 @@ void FleetScheduler::RebalancePass(double now, EventObserver* observer) {
     search.pay_migration = !mover.queued;
     search.was_queued = mover.queued;
     search.reason = RebalanceMove::Reason::kRebalance;
-    search.previews = &stats_.rebalance_previews;
-    ++stats_.rebalance_decisions;
     RebalanceMove best_move;
-    const int rebalance_previews_before = stats_.rebalance_previews;
-    const double search_seconds_before = stats_.fleet_op_search_seconds;
-    const int best_target = FindBestTarget(search, &best_move);
-    if (observer != nullptr) {
-      TargetSearchStats search_stats;
-      search_stats.kind = TargetSearchStats::Kind::kRebalance;
-      search_stats.previews = stats_.rebalance_previews - rebalance_previews_before;
-      search_stats.host_seconds =
-          stats_.fleet_op_search_seconds - search_seconds_before;
-      observer->OnTargetSearch(search_stats, now);
-    }
-    if (best_target < 0) {
+    if (FindBestTarget(search, now, observer, &best_move) < 0) {
       continue;
     }
 
@@ -1107,25 +1083,9 @@ void FleetScheduler::RebalancePass(double now, EventObserver* observer) {
         observer->OnAdmission(mover.from, outcome, now);
       }
     }
-    ScheduleOutcome moved =
-        machines_[static_cast<size_t>(best_target)].scheduler->Submit(request, now);
-    NP_CHECK_MSG(moved.admitted, "rebalance preview promised admission of container "
-                                     << mover.id << " on machine " << best_target);
-    machine_of_[mover.id] = best_target;
-    domain_occupancy_->Move(mover.id, best_target);
-    capacity_index_.OnOccupancyChange(best_target);
-    if (!moved.meets_goal) {
-      capacity_index_.MarkCapacityChanged();
-    }
-    RecordAdmission(moved, now);
+    domain_occupancy_.Move(mover.id, best_move.to_machine);
+    CommitMove(request, best_move, now, observer);
     ++stats_.rebalance_moves;
-    stats_.cross_machine_move_seconds += best_move.move_seconds;
-    stats_.network_copy_seconds += best_move.network_seconds;
-    rebalance_log_.push_back(best_move);
-    if (observer != nullptr) {
-      observer->OnAdmission(best_target, moved, now);
-      observer->OnMove(best_move, now);
-    }
   }
 }
 
@@ -1176,9 +1136,8 @@ std::vector<int> FleetScheduler::UnplacedIds() const {
   for (const auto& [id, request] : unplaced_) {
     ids.push_back(id);
   }
-  std::stable_sort(ids.begin(), ids.end(), [&](int a, int b) {
-    return submit_time_.at(a) < submit_time_.at(b);
-  });
+  std::stable_sort(ids.begin(), ids.end(),
+                   [&](int a, int b) { return waiting_.at(a) < waiting_.at(b); });
   return ids;
 }
 

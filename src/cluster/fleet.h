@@ -19,8 +19,8 @@
 //     then a cross-machine RebalancePass: queued containers and degraded
 //     incumbents are considered for a move to another machine, the move is
 //     charged with the §7 migration cost model (src/migration) plus a
-//     configurable network-copy penalty, and only moves whose predicted
-//     gain over the rebalance horizon beats that modeled cost are proposed.
+//     network copy of 0.5 s per GB, and only moves whose predicted gain
+//     over a 600-s horizon beats that modeled cost are proposed.
 //     Target searches (rebalance, drain, failover — all through one shared
 //     gain-over-cost helper) consult the per-cell capacity index
 //     (src/cluster/capacity_index.h) first and preview only machines inside
@@ -89,36 +89,17 @@ struct FleetConfig {
   std::string dispatch = "least-loaded";
   /// Run the cross-machine RebalancePass after every departure.
   bool rebalance_on_departure = true;
-  /// Cross-machine moves copy the container's memory (anon + page cache)
-  /// over the network; seconds per GB on top of the §7 migration estimate.
-  double network_seconds_per_gb = 0.5;
-  /// A move's predicted throughput gain is credited over this horizon (the
-  /// expected residual lifetime under the trace generator's exponential
-  /// lifetimes) and must beat the ops lost while the move runs.
-  double rebalance_horizon_seconds = 600.0;
   /// A degraded incumbent moves only for at least this relative prediction
   /// gain (bounds cross-machine churn; queued containers are exempt —
   /// running anywhere beats waiting).
   double rebalance_min_gain = 0.1;
-  /// Measurement noise of the per-machine simulators; machine m draws from
-  /// noise_seed + m, so identical boxes still measure like distinct
-  /// hardware.
-  double noise_sigma = 0.01;
-  /// Base seed of the per-machine noise streams.
-  uint64_t noise_seed = 5;
-  /// Route rebalance and evacuation target searches through the per-cell
-  /// capacity index (summary-before-scan): preview only machines inside
-  /// the most promising cells. false restores the legacy full-scan search
-  /// previewing every up machine with enough free threads — the reference
-  /// path the equivalence test replays against.
-  bool sharded_fleet_ops = true;
-  /// Capacity-index cell count; 0 mirrors the sharded dispatcher's layout
-  /// when one is active, else builds the same modulo layout with
-  /// round(sqrt(machines)) cells.
-  int fleet_cells = 0;
-  /// Most promising cells consulted per rebalance/evacuation target
-  /// search; 0 descends into every eligible cell, which previews exactly
-  /// the machines the full-scan path would (byte-identical outcomes).
+  /// Most promising capacity-index cells whose machines a rebalance or
+  /// evacuation target search previews (summary-before-scan). 0 is the
+  /// full scan: every up machine with enough free threads, the reference
+  /// the index-backed search is tested against. A count of at least the
+  /// index's cell count previews exactly the machines the full scan does.
+  /// The index mirrors the sharded dispatcher's cells when one is active,
+  /// else builds the same modulo layout with round(sqrt(machines)) cells.
   int fleet_probes = 2;
   /// Failure-domain layout (src/cluster/domains.h): racks of the uniform
   /// machine -> rack -> zone topology, 0 for the round(sqrt(machines))
@@ -338,7 +319,7 @@ class FleetScheduler {
   const FailureDomainTopology& domains() const { return *domains_; }
   /// Live per-service-group domain occupancy, updated at every point a
   /// container gains, loses or changes its machine.
-  const DomainOccupancy& domain_occupancy() const { return *domain_occupancy_; }
+  const DomainOccupancy& domain_occupancy() const { return domain_occupancy_; }
   /// Whether either spread knob is set — when false, dispatch and fleet-op
   /// decisions are byte-identical to a fleet without the spread dimension.
   bool SpreadActive() const {
@@ -381,7 +362,6 @@ class FleetScheduler {
     std::unique_ptr<MultiTenantModel> multi;
     std::unique_ptr<MachineScheduler> scheduler;
     size_t group = 0;  // index into groups_
-    MachineAvailability availability = MachineAvailability::kUp;
   };
   struct Group {
     std::string name;  // the machines' topology name
@@ -424,7 +404,8 @@ class FleetScheduler {
   // Dispatch core shared by Submit, evacuation requeues and the unplaced
   // drain: asks the policy for a preselection, routes through the dispatch
   // policy, queueing on the chosen machine or fleet-wide when no available
-  // machine fits. The container's submit_time_ entry must already exist.
+  // machine fits. A container that queues and is not already waiting
+  // starts its wait at `now`; one already waiting keeps its start.
   FleetOutcome Dispatch(const ContainerRequest& request, double now,
                         EventObserver* observer);
 
@@ -436,8 +417,8 @@ class FleetScheduler {
   AdmissionContext BuildAdmissionContext(const ContainerRequest& request,
                                          SloTier tier) const;
 
-  // Sheds the oldest queued best-effort container (waiting_ order — a
-  // sorted set, so the choice is deterministic) to make room for a premium
+  // Sheds the oldest queued best-effort container (waiting_ order — keyed
+  // by id, so the choice is deterministic) to make room for a premium
   // arrival: removed through the same machine-level Depart primitive the
   // evacuation path uses (a queued container has no state, so the shed is
   // free), counted as a best-effort rejection, and its future trace
@@ -459,7 +440,9 @@ class FleetScheduler {
   // One cross-machine target search, shared by rebalance, drain and
   // failover: scores candidate targets by gain-over-cost surplus and
   // returns the best machine id (-1 when no move beats its modeled cost),
-  // filling `best_move` with the winning move's gain/cost model.
+  // filling `best_move` with the winning move's gain/cost model. It
+  // charges itself to the rebalance or evacuation decision, preview and
+  // search-time counters (by `reason`) and reports itself to the observer.
   struct TargetSearch {
     const ContainerRequest* request = nullptr;
     int exclude_machine = kNoMachine;  // the mover's source, never a target
@@ -469,15 +452,25 @@ class FleetScheduler {
     bool pay_migration = false;     // live container: §7 estimate + copy
     bool was_queued = false;
     RebalanceMove::Reason reason = RebalanceMove::Reason::kRebalance;
-    int* previews = nullptr;    // stats counter charged per preview
   };
-  int FindBestTarget(const TargetSearch& search, RebalanceMove* best_move);
+  int FindBestTarget(const TargetSearch& search, double now, EventObserver* observer,
+                     RebalanceMove* best_move);
+
+  // Commits the target side of a cross-machine move the search vouched
+  // for, shared by rebalance, drain and failover: admits the container on
+  // move.to_machine, updates machine_of_ and the capacity index, records
+  // the admission, the move's cost and the log entry, and reports both to
+  // the observer. The caller has already freed the source and updated the
+  // domain occupancy, and keeps its own move counters.
+  void CommitMove(const ContainerRequest& request, const RebalanceMove& move, double now,
+                  EventObserver* observer);
 
   // Candidate target machine ids (ascending) for one fleet-op decision:
   // up machines != exclude_machine with >= vcpus free hardware threads.
-  // Under sharded fleet ops only machines inside the most promising cells
-  // (capacity index, config.fleet_probes) are returned, falling back to
-  // the full walk when the index proves no cell can fit the request.
+  // With config.fleet_probes > 0 only machines inside that many of the
+  // most promising cells (capacity index) are returned, falling back to
+  // the full walk when the index proves no cell can fit the request;
+  // fleet_probes = 0 is the full walk.
   std::vector<int> SelectFleetOpTargets(const ContainerRequest& request,
                                         int exclude_machine) const;
 
@@ -485,8 +478,8 @@ class FleetScheduler {
   // the co-location count the spread knobs act on.
   int RackColocation(const ContainerRequest& request, int machine_id) const;
 
-  // Availability flip (mirrored into the dispatch membership view) +
-  // evacuation/rebalance shared by Fail/Drain/Rejoin.
+  // Availability flip in the membership view, up_threads_, the capacity
+  // index and the observer, shared by Fail/Drain/Rejoin.
   void SetAvailability(int machine_id, MachineAvailability availability, double now,
                        EventObserver* observer);
 
@@ -515,9 +508,10 @@ class FleetScheduler {
   std::vector<SloTier> tiers_;
   std::vector<Machine> machines_;
   // Long-lived membership view handed to the dispatch policy via
-  // BindMembership; availability entries mirror machines_[].availability.
-  // Heap-allocated so the pointer the policy holds survives moving the
-  // fleet (factory helpers return FleetScheduler by value).
+  // BindMembership; its availability entries are the fleet's record of
+  // each machine's availability. Heap-allocated so the pointer the policy
+  // holds survives moving the fleet (factory helpers return FleetScheduler
+  // by value).
   std::unique_ptr<std::vector<MachineMembership>> membership_;
   // Per-cell capacity summaries over membership_, updated in place at
   // every occupancy/availability-changing point (see capacity_index.h).
@@ -526,18 +520,18 @@ class FleetScheduler {
   // SetAvailability — AdmissionContext::total_threads without a machine
   // walk per arrival.
   long long up_threads_ = 0;
-  // Failure-domain topology handed to the dispatch policy via BindDomains;
-  // heap-allocated for the same reason as membership_ (pointer stability
-  // across moves of the fleet).
+  // Failure-domain topology; heap-allocated so the pointer
+  // domain_occupancy_ holds survives moving the fleet.
   std::unique_ptr<FailureDomainTopology> domains_;
-  // Per-service-group domain occupancy, updated alongside machine_of_;
-  // heap-allocated likewise (BindDomains hands the policy its address).
-  std::unique_ptr<DomainOccupancy> domain_occupancy_;
+  // Per-service-group domain occupancy, updated alongside machine_of_.
+  DomainOccupancy domain_occupancy_;
   std::vector<Group> groups_;  // in the order of their first machine
   std::map<int, int> machine_of_;      // containers live on some machine
   std::map<int, ContainerRequest> unplaced_;  // waiting fleet-wide, no machine
-  std::map<int, double> submit_time_;
-  std::set<int> waiting_;              // submitted but not yet placed
+  // Containers submitted but not yet placed (queued on a machine or
+  // fleet-wide), id -> the instant their current wait started: submission,
+  // or for a running container sent back through dispatch, the disruption.
+  std::map<int, double> waiting_;
   // Instant every machine clock was last synced to, so same-instant events
   // skip the no-op machine walk.
   double last_synced_ = -std::numeric_limits<double>::infinity();

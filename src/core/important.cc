@@ -98,16 +98,6 @@ std::vector<ImportantPlacement> ImportantPlacementSet::WithL3Score(int l3_score)
   return out;
 }
 
-std::vector<ImportantPlacement> ImportantPlacementSet::WithNodeCount(int nodes) const {
-  std::vector<ImportantPlacement> out;
-  for (const ImportantPlacement& p : placements) {
-    if (p.NodeCount() == nodes) {
-      out.push_back(p);
-    }
-  }
-  return out;
-}
-
 ImportantPlacementSet GenerateImportantPlacements(const Topology& topo, int vcpus,
                                                   bool use_interconnect_concern) {
   NP_CHECK(vcpus > 0);

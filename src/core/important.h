@@ -43,8 +43,6 @@ struct ImportantPlacementSet {
   const ImportantPlacement& ById(int id) const;
   // Placements whose L3 score is exactly `l3_score`.
   std::vector<ImportantPlacement> WithL3Score(int l3_score) const;
-  // Placements spanning exactly `nodes` NUMA nodes.
-  std::vector<ImportantPlacement> WithNodeCount(int nodes) const;
 };
 
 // Runs the full §4 pipeline: Algorithm 1 (scores), Algorithm 2 (packings),

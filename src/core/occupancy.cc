@@ -80,10 +80,6 @@ int OccupancyMap::FreeThreadsOnNode(int node) const {
   return CountFree(*this, topo_->HwThreadsOnNode(node));
 }
 
-int OccupancyMap::FreeThreadsInL3Group(int l3_group) const {
-  return CountFree(*this, topo_->HwThreadsInL3Group(l3_group));
-}
-
 int OccupancyMap::FreeThreadsInL2Group(int l2_group) const {
   return CountFree(*this, topo_->HwThreadsInL2Group(l2_group));
 }

@@ -61,7 +61,6 @@ class OccupancyMap {
   int BusyThreadCount() const { return topo_->NumHwThreads() - free_count_; }
   double Utilization() const;  // busy / total, in [0, 1]
   int FreeThreadsOnNode(int node) const;
-  int FreeThreadsInL3Group(int l3_group) const;
   int FreeThreadsInL2Group(int l2_group) const;
   // Nodes with no owned thread at all, ascending.
   std::vector<int> FullyFreeNodes() const;

@@ -13,16 +13,6 @@ void ModelRegistry::Register(const std::string& machine, int vcpus,
                                          << " vCPUs) is already registered");
 }
 
-void ModelRegistry::RegisterFromText(const std::string& machine, int vcpus,
-                                     std::istream& is) {
-  Register(machine, vcpus, TrainedPerfModel::LoadText(is));
-}
-
-void ModelRegistry::SaveTextTo(const std::string& machine, int vcpus,
-                               std::ostream& os) const {
-  Get(machine, vcpus).SaveText(os);
-}
-
 bool ModelRegistry::Has(const std::string& machine, int vcpus) const {
   return models_.contains(std::pair<std::string_view, int>(machine, vcpus));
 }
@@ -50,17 +40,6 @@ const CachedPrediction& ModelRegistry::Predict(int container_id,
                                       << " already has a cached prediction; Forget() "
                                          "it first");
   return it->second.prediction;
-}
-
-const CachedPrediction& ModelRegistry::PredictOrGet(int container_id,
-                                                    const std::string& machine,
-                                                    int vcpus, double perf_a,
-                                                    double perf_b) {
-  const CachedPrediction* cached = FindPrediction(container_id);
-  if (cached != nullptr) {
-    return *cached;
-  }
-  return Predict(container_id, machine, vcpus, perf_a, perf_b);
 }
 
 const CachedPrediction* ModelRegistry::FindPrediction(int container_id) const {

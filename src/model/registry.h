@@ -10,9 +10,7 @@
 #ifndef NUMAPLACE_SRC_MODEL_REGISTRY_H_
 #define NUMAPLACE_SRC_MODEL_REGISTRY_H_
 
-#include <istream>
 #include <map>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -70,11 +68,6 @@ class ModelRegistry {
   // prediction made with the old one.
   void Register(const std::string& machine, int vcpus, TrainedPerfModel model);
 
-  // Text-format persistence pass-throughs (train offline, ship the file,
-  // load it into the scheduler's registry).
-  void RegisterFromText(const std::string& machine, int vcpus, std::istream& is);
-  void SaveTextTo(const std::string& machine, int vcpus, std::ostream& os) const;
-
   bool Has(const std::string& machine, int vcpus) const;
   // CHECK-fails when absent; use Has() to probe.
   const TrainedPerfModel& Get(const std::string& machine, int vcpus) const;
@@ -84,16 +77,9 @@ class ModelRegistry {
   // the result under `container_id`. CHECK-fails if the container already
   // has a cached prediction — probes are paid once, so a duplicate means the
   // caller re-probed a live container or reused its id without Forget()ing
-  // it first (the Forget()-first contract). Decision paths that may be
-  // retried, like the departure re-placement pass, should use PredictOrGet.
+  // it first (the Forget()-first contract).
   const CachedPrediction& Predict(int container_id, const std::string& machine, int vcpus,
                                   double perf_a, double perf_b);
-
-  // Like Predict, but when the container already has a cached prediction it
-  // is returned as-is and the probe measurements are ignored — safe to call
-  // from re-placement passes that cannot know whether probes were paid.
-  const CachedPrediction& PredictOrGet(int container_id, const std::string& machine,
-                                       int vcpus, double perf_a, double perf_b);
 
   // The cached prediction for a container, or nullptr when it never probed.
   const CachedPrediction* FindPrediction(int container_id) const;

@@ -451,7 +451,7 @@ std::vector<ScheduleOutcome> MachineScheduler::Depart(int container_id, double n
     registry_->Forget(container_id);
   }
 
-  if (!replace || !config_.replace_on_departure) {
+  if (!replace) {
     return {};
   }
   return ReplacementPass(now);

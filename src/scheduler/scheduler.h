@@ -86,9 +86,6 @@ struct SchedulerConfig {
   int baseline_id = 1;
   // Passed to GenerateImportantPlacements for sizes not provided up front.
   bool use_interconnect_concern = true;
-  // Run the re-placement pass (queue admission + degraded upgrades) on every
-  // departure.
-  bool replace_on_departure = true;
   // A degraded container not meeting its goal is upgraded to another
   // not-meeting placement only for at least this relative prediction gain
   // (bounds migration churn).
@@ -151,14 +148,15 @@ class MachineScheduler {
   ScheduleOutcome Submit(const ContainerRequest& request, double now = 0.0);
 
   // Removes a container (running or queued), freeing its threads, then runs
-  // the re-placement pass; returns one outcome per container the pass placed
-  // or migrated. `forget_probes` drops the container's cached prediction
-  // (the default — a departed container never comes back); the fleet layer
-  // passes false when *moving* a container to another machine of the same
-  // topology so the probes it already paid for transfer with it. `replace`
-  // false skips the re-placement pass regardless of config — the fleet
-  // passes it when emptying a failed or draining machine, whose queue must
-  // not be re-admitted onto the machine being evacuated.
+  // the re-placement pass (queue admission + degraded upgrades); returns one
+  // outcome per container the pass placed or migrated. `forget_probes` drops
+  // the container's cached prediction (the default — a departed container
+  // never comes back); the fleet layer passes false when *moving* a
+  // container to another machine of the same topology so the probes it
+  // already paid for transfer with it. `replace`
+  // false skips the re-placement pass — the fleet passes it when emptying a
+  // failed or draining machine, whose queue must not be re-admitted onto
+  // the machine being evacuated.
   std::vector<ScheduleOutcome> Depart(int container_id, double now = 0.0,
                                       bool forget_probes = true, bool replace = true);
 

@@ -109,11 +109,6 @@ std::vector<int> Topology::HwThreadsOnNode(int node) const {
   return ContiguousRange(node * NodeCapacity(), NodeCapacity());
 }
 
-std::vector<int> Topology::HwThreadsInL3Group(int l3_group) const {
-  NP_CHECK(l3_group >= 0 && l3_group < NumL3Groups());
-  return ContiguousRange(l3_group * L3GroupCapacity(), L3GroupCapacity());
-}
-
 std::vector<int> Topology::HwThreadsInL2Group(int l2_group) const {
   NP_CHECK(l2_group >= 0 && l2_group < NumL2Groups());
   return ContiguousRange(l2_group * L2GroupCapacity(), L2GroupCapacity());

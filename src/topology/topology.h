@@ -118,9 +118,8 @@ class Topology {
   std::vector<int> HwThreadsOnNode(int node) const;
 
   // Structural enumeration used by occupancy-aware placement realization
-  // (src/core/occupancy.h): the hardware threads belonging to one cache
-  // group, and the group ids nested inside a coarser resource. All ascending.
-  std::vector<int> HwThreadsInL3Group(int l3_group) const;
+  // (src/core/occupancy.h): the hardware threads belonging to one L2 group,
+  // and the group ids nested inside a coarser resource. All ascending.
   std::vector<int> HwThreadsInL2Group(int l2_group) const;
   std::vector<int> L3GroupsOnNode(int node) const;
   std::vector<int> L2GroupsInL3Group(int l3_group) const;

@@ -92,9 +92,7 @@ TEST(CellLayout, CellCountClampsToMachineCount) {
 }
 
 TEST(CapacityIndex, BindComputesInitialSummariesAndStartsDirty) {
-  FleetConfig config;
-  config.fleet_cells = 2;
-  FleetScheduler fleet = MakeFirstFitFleet(4, config);
+  FleetScheduler fleet = MakeFirstFitFleet(4, FleetConfig());  // round(sqrt(4)) = 2 cells
   const CapacityIndex& index = fleet.capacity_index();
   ASSERT_TRUE(index.bound());
   ASSERT_EQ(index.NumCells(), 2);
@@ -111,9 +109,8 @@ TEST(CapacityIndex, BindComputesInitialSummariesAndStartsDirty) {
 }
 
 TEST(CapacityIndex, SummariesTrackAdmissionsAndFailRejoinCycles) {
-  FleetConfig config;
-  config.fleet_cells = 2;  // cells {0, 2} and {1, 3}
-  FleetScheduler fleet = MakeFirstFitFleet(4, config);
+  // The automatic layout: round(sqrt(4)) = 2 cells, {0, 2} and {1, 3}.
+  FleetScheduler fleet = MakeFirstFitFleet(4, FleetConfig());
   const CapacityIndex& index = fleet.capacity_index();
   const int threads = fleet.topology(0).NumHwThreads();
 
@@ -140,8 +137,7 @@ TEST(CapacityIndex, SummariesTrackAdmissionsAndFailRejoinCycles) {
 }
 
 TEST(CapacityIndex, PromisingCellsRanksByHeadroomAndHonorsLimit) {
-  FleetConfig config;
-  config.fleet_cells = 2;        // cells {0, 2} and {1, 3}
+  FleetConfig config;  // 2 automatic cells, {0, 2} and {1, 3}
   config.dispatch = "round-robin";  // deterministic fill: m0, m1, m2, m3, ...
   config.rebalance_on_departure = false;
   FleetScheduler fleet = MakeFirstFitFleet(4, config);

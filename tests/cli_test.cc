@@ -122,6 +122,7 @@ std::string CutFirstTreeLeaves(const std::string& model) {
 
 TEST(CliMisuse, RejectsUnusableInputBeforeTraining) {
   const std::string model_path = ScratchPath("model.txt");
+  const std::string metrics_path = ScratchPath("metrics.jsonl");
   const std::string garbage_model = ScratchPath("garbage_model.txt");
   const std::string empty_model = ScratchPath("empty_model.txt");
   const std::string tag_only_model = ScratchPath("tag_only_model.txt");
@@ -186,6 +187,21 @@ TEST(CliMisuse, RejectsUnusableInputBeforeTraining) {
       // Machine-event times that are not finite.
       "fleet amd,intel 16 2 --fail 0@nan",
       "fleet amd,intel 16 2 --fail 0@inf",
+      // More zones than the fleet's racks (two machines default to one
+      // rack).
+      "fleet amd,intel 16 2 first-fit --zones 3",
+      "fleet amd,intel 16 2 first-fit --racks 2 --zones 3",
+      // Real-valued flags that are not finite, or a snapshot interval finer
+      // than a sim second.
+      "fleet amd,intel 16 2 first-fit --metrics-out " + metrics_path +
+          " --metrics-interval nan",
+      "fleet amd,intel 16 2 first-fit --metrics-interval 0.5",
+      "fleet amd,intel 16 2 first-fit --spread-weight nan",
+      "fleet amd,intel 16 2 first-fit --spread-weight inf",
+      // A negative fleet-op probe count, and the retired full-scan flag
+      // (--fleet-probes 0 is the full scan).
+      "fleet amd,intel 16 2 first-fit --fleet-probes -1",
+      "fleet amd,intel 16 2 first-fit --full-scan-ops",
       // Machine events whose machine is in the wrong state when replay
       // reaches them.
       "fleet amd,intel 16 2 --rejoin 0@5",
@@ -226,6 +242,7 @@ TEST(CliMisuse, RejectsUnusableInputBeforeTraining) {
     EXPECT_EQ(run.out.find("training a model"), std::string::npos) << run.out;
   }
   EXPECT_FALSE(std::ifstream(model_path).good()) << "a rejected train wrote its file";
+  EXPECT_FALSE(std::ifstream(metrics_path).good()) << "a rejected fleet wrote metrics";
   for (const std::string& path : {garbage_model, empty_model, tag_only_model, trained_model,
                                   short_leaf_model, short_ids_model, wide_tree_model}) {
     std::remove(path.c_str());
@@ -236,7 +253,8 @@ TEST(CliMisuse, ValidInputStillRuns) {
   // The same checks let good input through: a one-placement size is fine for
   // a policy that needs no model.
   for (const std::string args : {"placements amd 16", "placements amd 7",
-                                 "schedule amd 7 2 first-fit"}) {
+                                 "schedule amd 7 2 first-fit",
+                                 "fleet amd,intel 16 2 first-fit --fleet-probes 0"}) {
     SCOPED_TRACE(args);
     const CliRun run = RunCli(args);
     EXPECT_EQ(run.status, 0) << run.err;

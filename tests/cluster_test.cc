@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdarg>
 #include <cstdio>
 #include <map>
@@ -861,19 +862,19 @@ EventStream ChurnTraceWithMachineEvents(int num_streams, uint64_t seed) {
 }
 
 TEST(FleetCapacityOps, IndexBackedAndFullScanPathsAreByteIdentical) {
-  // fleet_probes = 0 descends into every eligible cell, i.e. the forced
-  // fallback: the index-backed search must preview exactly the machines
-  // the full scan previews, in the same order, and land every container,
-  // move and counter identically — byte-identical serialized output.
-  FleetConfig indexed;
-  indexed.dispatch = "best-predicted";
-  indexed.sharded_fleet_ops = true;
-  indexed.fleet_probes = 0;
-  FleetConfig full_scan = indexed;
-  full_scan.sharded_fleet_ops = false;
-
-  FleetScheduler indexed_fleet = MakeAmdFleet(6, "model", indexed);
+  // fleet_probes = 0 is the full scan, the index's reference. A probe
+  // count of at least the cell count descends into every eligible cell:
+  // the index-backed search must preview exactly the machines the full
+  // scan previews, in the same order, and land every container, move and
+  // counter identically — byte-identical serialized output.
+  FleetConfig full_scan;
+  full_scan.dispatch = "best-predicted";
+  full_scan.fleet_probes = 0;
   FleetScheduler full_scan_fleet = MakeAmdFleet(6, "model", full_scan);
+  FleetConfig indexed = full_scan;
+  indexed.fleet_probes = full_scan_fleet.capacity_index().NumCells();
+  FleetScheduler indexed_fleet = MakeAmdFleet(6, "model", indexed);
+  ASSERT_GT(indexed.fleet_probes, 0);
   const EventStream trace = ChurnTraceWithMachineEvents(3, 99);
 
   const std::string indexed_json = ReplayToJson(indexed_fleet, trace);
@@ -892,7 +893,7 @@ TEST(FleetCapacityOps, ShardedSearchStaysWithinThePreviewBound) {
   FleetConfig config;
   config.dispatch = "best-predicted";
   FleetScheduler fleet = MakeAmdFleet(9, "model", config);
-  ASSERT_TRUE(fleet.config().sharded_fleet_ops);
+  ASSERT_GT(fleet.config().fleet_probes, 0);
   const CapacityIndex& index = fleet.capacity_index();
   ASSERT_EQ(index.NumCells(), 3);
   size_t cell_cap = 0;
@@ -908,6 +909,84 @@ TEST(FleetCapacityOps, ShardedSearchStaysWithinThePreviewBound) {
       static_cast<int>(cell_cap) * fleet.config().fleet_probes;
   EXPECT_LE(stats.rebalance_previews, stats.rebalance_decisions * per_search);
   EXPECT_LE(stats.evac_previews, stats.evac_decisions * per_search);
+}
+
+// Tallies the fleet's target-search reports by kind.
+class SearchTally final : public EventObserver {
+ public:
+  void OnTargetSearch(const TargetSearchStats& search, double /*now*/) override {
+    const size_t kind = static_cast<size_t>(search.kind);
+    ++searches[kind];
+    previews[kind] += search.previews;
+  }
+  long long Searches(TargetSearchStats::Kind kind) const {
+    return searches[static_cast<size_t>(kind)];
+  }
+  long long Previews(TargetSearchStats::Kind kind) const {
+    return previews[static_cast<size_t>(kind)];
+  }
+
+ private:
+  std::array<long long, 3> searches{};
+  std::array<long long, 3> previews{};
+};
+
+TEST(FleetCapacityOps, EveryTargetSearchIsReportedOnceWithItsKindAndPreviews) {
+  // Each dispatch, rebalance and evacuation search reports itself once,
+  // under its own kind, with the previews it charged to FleetStats.
+  FleetConfig config;
+  config.dispatch = "best-predicted";
+  FleetScheduler fleet = MakeAmdFleet(6, "model", config);
+  SearchTally tally;
+  fleet.Replay(ChurnTraceWithMachineEvents(3, 99), &tally);
+  const FleetStats& stats = fleet.stats();
+  using Kind = TargetSearchStats::Kind;
+  EXPECT_EQ(tally.Searches(Kind::kDispatch), stats.dispatch_decisions);
+  EXPECT_EQ(tally.Previews(Kind::kDispatch), stats.dispatch_previews);
+  EXPECT_EQ(tally.Searches(Kind::kRebalance), stats.rebalance_decisions);
+  EXPECT_EQ(tally.Previews(Kind::kRebalance), stats.rebalance_previews);
+  EXPECT_EQ(tally.Searches(Kind::kEvacuation), stats.evac_decisions);
+  EXPECT_EQ(tally.Previews(Kind::kEvacuation), stats.evac_previews);
+  // The replay ran both kinds of fleet-op search.
+  EXPECT_GT(stats.rebalance_decisions, 0);
+  EXPECT_GT(stats.evac_decisions, 0);
+}
+
+TEST(FleetCapacityOps, AQueuedMoverLandingBelowItsGoalReArmsTheCapacityFlag) {
+  FleetConfig config;
+  config.dispatch = "least-loaded";
+  FleetScheduler fleet = MakeAmdFleet(2, "model", config);
+  // Eight easy containers fill both machines (four 2-node placements each).
+  for (int id = 1; id <= 8; ++id) {
+    ASSERT_TRUE(fleet.Submit(MakeRequest(id, "gcc", 0.5), id * 1.0).outcome.admitted);
+  }
+  // No placement reaches ten times the baseline: wherever the waiter
+  // lands, it lands below its goal.
+  const FleetOutcome queued = fleet.Submit(MakeRequest(9, "gcc", 10.0), 10.0);
+  ASSERT_FALSE(queued.outcome.admitted);
+  const int other_machine = 1 - queued.machine_id;
+  int victim = -1;
+  for (int id = 1; id <= 8; ++id) {
+    if (fleet.MachineOf(id) == other_machine) {
+      victim = id;
+      break;
+    }
+  }
+  ASSERT_GE(victim, 0);
+
+  // The departure frees threads on the other machine; the pass it runs
+  // consumes the capacity flag and moves the waiter there. Nothing else in
+  // that pass frees capacity or queues work, so only the below-goal
+  // landing — a new degraded incumbent, a mover for the next pass — can
+  // leave the flag set.
+  fleet.Depart(victim, 20.0);
+  ASSERT_EQ(fleet.stats().rebalance_moves, 1);
+  ASSERT_EQ(fleet.MachineOf(9), other_machine);
+  const ManagedContainer* landed = fleet.machine(other_machine).Find(9);
+  ASSERT_NE(landed, nullptr);
+  EXPECT_EQ(landed->state, ContainerState::kRunning);
+  EXPECT_FALSE(landed->meets_goal);
+  EXPECT_TRUE(fleet.capacity_index().capacity_dirty());
 }
 
 TEST(FleetCapacityOps, CleanCapacityFlagSkipsTheRebalancePassEntirely) {

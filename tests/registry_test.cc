@@ -1,8 +1,6 @@
-// Tests for the ModelRegistry: (machine, vcpus) keyed model lookup, text
-// round-trips through the registry, and the per-container prediction cache.
+// Tests for the ModelRegistry: (machine, vcpus) keyed model lookup and the
+// per-container prediction cache.
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "src/core/important.h"
 #include "src/model/pipeline.h"
@@ -59,29 +57,6 @@ TEST_F(RegistryTest, DuplicateRegistrationIsRejected) {
   EXPECT_EQ(registry.NumModels(), 2u);
 }
 
-TEST_F(RegistryTest, SaveLoadRoundTripThroughRegistry) {
-  ModelRegistry source;
-  source.Register(topo_.name(), 16, model_);
-  std::stringstream buffer;
-  source.SaveTextTo(topo_.name(), 16, buffer);
-
-  ModelRegistry loaded;
-  loaded.RegisterFromText(topo_.name(), 16, buffer);
-  const TrainedPerfModel& restored = loaded.Get(topo_.name(), 16);
-  EXPECT_EQ(restored.input_a, model_.input_a);
-  EXPECT_EQ(restored.input_b, model_.input_b);
-  EXPECT_EQ(restored.baseline_id, model_.baseline_id);
-  EXPECT_EQ(restored.placement_ids, model_.placement_ids);
-
-  // The restored forest must predict identically, not just structurally.
-  Rng rng(11);
-  for (int i = 0; i < 20; ++i) {
-    const double perf_a = rng.NextDouble(0.5, 2.0) * 1e6;
-    const double perf_b = rng.NextDouble(0.5, 2.0) * 1e6;
-    EXPECT_EQ(model_.Predict(perf_a, perf_b), restored.Predict(perf_a, perf_b));
-  }
-}
-
 TEST_F(RegistryTest, PredictionCacheStoresAndForgets) {
   ModelRegistry registry;
   registry.Register(topo_.name(), 16, model_);
@@ -105,30 +80,6 @@ TEST_F(RegistryTest, PredictionCacheStoresAndForgets) {
   registry.Forget(7);
   EXPECT_EQ(registry.FindPrediction(7), nullptr);
   EXPECT_NO_THROW(registry.Predict(7, topo_.name(), 16, 1.5e6, 1.8e6));
-}
-
-TEST_F(RegistryTest, PredictOrGetReturnsTheCacheWithoutRepredicting) {
-  ModelRegistry registry;
-  registry.Register(topo_.name(), 16, model_);
-
-  // First call behaves exactly like Predict.
-  const CachedPrediction& fresh = registry.PredictOrGet(7, topo_.name(), 16, 1.5e6, 1.8e6);
-  EXPECT_DOUBLE_EQ(fresh.perf_a, 1.5e6);
-  EXPECT_EQ(registry.NumCachedPredictions(), 1u);
-
-  // A repeat — as a re-placement pass might issue — returns the cached entry
-  // untouched even with different (ignored) probe measurements, where
-  // Predict() would CHECK-fail on the duplicate id.
-  const CachedPrediction& again = registry.PredictOrGet(7, topo_.name(), 16, 9.9e6, 9.9e6);
-  EXPECT_EQ(&again, &fresh);
-  EXPECT_DOUBLE_EQ(again.perf_a, 1.5e6);
-  EXPECT_EQ(registry.NumCachedPredictions(), 1u);
-  EXPECT_THROW(registry.Predict(7, topo_.name(), 16, 1.5e6, 1.8e6), std::logic_error);
-
-  // Forget() restores the fresh-probe path (the Forget()-first contract).
-  registry.Forget(7);
-  const CachedPrediction& after = registry.PredictOrGet(7, topo_.name(), 16, 2.0e6, 2.2e6);
-  EXPECT_DOUBLE_EQ(after.perf_a, 2.0e6);
 }
 
 TEST_F(RegistryTest, PredictWithoutModelIsRejected) {

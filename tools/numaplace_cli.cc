@@ -19,7 +19,7 @@
 //                                     and slowdowns
 //   fleet <machines> <vcpus> <containers> [seed] [dispatch] [policy]
 //         [--dispatch <name>] [--cells <N>] [--probes <d>]
-//         [--fleet-probes <d>] [--full-scan-ops]
+//         [--fleet-probes <d>]
 //         [--racks <R>] [--zones <Z>] [--spread-weight <w>] [--spread-cap <n>]
 //         [--fail <spec>] [--drain <spec>] [--rejoin <spec>]
 //         [--admission <name>] [--tiers <group>=<tier>[,...]]
@@ -42,9 +42,9 @@
 //                                     running [policy] (default "model").
 //                                     --cells/--probes tune the sharded
 //                                     dispatcher (and imply --dispatch
-//                                     sharded); --fleet-probes/--full-scan-ops
-//                                     tune or bypass the capacity-index
-//                                     fleet-op search; --racks/--zones shape
+//                                     sharded); --fleet-probes tunes the
+//                                     capacity-index fleet-op search (0 is
+//                                     the full scan); --racks/--zones shape
 //                                     the failure-domain layout and
 //                                     --spread-weight/--spread-cap turn on
 //                                     spread-aware dispatch. --admission
@@ -177,6 +177,24 @@ bool CheckPlacements(const ImportantPlacementSet& set, const std::string& machin
   return true;
 }
 
+// The paper's baseline placement: #2 on the Intel system, #1 elsewhere.
+int BaselineIdFor(const std::string& machine_name) {
+  return machine_name == "intel" ? 2 : 1;
+}
+
+// The CLI's one training recipe: 72 synthetic workloads measured on a
+// noisy simulator of the machine, the pipeline's automatic probe-pair
+// search and default model settings.
+TrainedPerfModel TrainCliModel(const Topology& machine, const ImportantPlacementSet& set,
+                               int baseline_id) {
+  std::printf("training a model for (%s, %d vCPUs) on 72 synthetic workloads...\n",
+              machine.name().c_str(), set.vcpus);
+  const PerformanceModel sim(machine, 0.015, 1);
+  ModelPipeline pipeline(set, sim, baseline_id, 42);
+  Rng rng(7);
+  return pipeline.TrainPerfAuto(SampleTrainingWorkloads(72, rng), PerfModelConfig());
+}
+
 int CmdPlacements(const std::string& machine_name, int vcpus) {
   const Topology machine = MakeMachine(machine_name);
   if (!CheckVcpus(machine, vcpus)) {
@@ -216,15 +234,8 @@ int CmdTrain(const std::string& machine_name, int vcpus, const std::string& path
   if (!CheckPlacements(set, machine.name(), /*needs_model=*/true)) {
     return 2;
   }
-  const int baseline_id = machine_name == "intel" ? 2 : 1;
-  PerformanceModel sim(machine, 0.015, 1);
-  ModelPipeline pipeline(set, sim, baseline_id, 42);
-  Rng rng(7);
-  PerfModelConfig config;
-  std::printf("training a model for (%s, %d vCPUs) on 72 synthetic workloads...\n",
-              machine.name().c_str(), vcpus);
   const TrainedPerfModel model =
-      pipeline.TrainPerfAuto(SampleTrainingWorkloads(72, rng), config);
+      TrainCliModel(machine, set, BaselineIdFor(machine_name));
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -334,7 +345,7 @@ int CmdSchedule(const std::string& machine_name, int vcpus, int num_containers,
   if (!CheckPlacements(set, machine.name(), policy->UsesModel())) {
     return 2;
   }
-  const int baseline_id = machine_name == "intel" ? 2 : 1;
+  const int baseline_id = BaselineIdFor(machine_name);
   PerformanceModel solo(machine, 0.015, 1);
   MultiTenantModel multi(machine, 0.015, 1);
 
@@ -344,14 +355,7 @@ int CmdSchedule(const std::string& machine_name, int vcpus, int num_containers,
   sched_config.baseline_id = baseline_id;
   sched_config.use_interconnect_concern = use_ic;
   if (policy->UsesModel()) {
-    std::printf("training a model for (%s, %d vCPUs) on 72 synthetic workloads...\n",
-                machine.name().c_str(), vcpus);
-    ModelPipeline pipeline(set, solo, baseline_id, 42);
-    Rng train_rng(7);
-    PerfModelConfig model_config;
-    registry.Register(machine.name(), vcpus,
-                      pipeline.TrainPerfAuto(SampleTrainingWorkloads(72, train_rng),
-                                             model_config));
+    registry.Register(machine.name(), vcpus, TrainCliModel(machine, set, baseline_id));
   }
   MachineScheduler scheduler(machine, solo, &registry, sched_config, std::move(policy));
   scheduler.ProvidePlacements(set);
@@ -479,9 +483,8 @@ int CmdFleet(const std::string& machines_csv, int vcpus, int containers_per_stre
              uint64_t seed, const std::string& dispatch_name,
              const std::string& policy_name,
              const std::vector<FleetEvent>& machine_events, int sharded_cells,
-             int sharded_probes, bool full_scan_ops, int fleet_probes,
-             int domain_racks, int domain_zones, double spread_weight,
-             int spread_cap, const FleetAdmissionOptions& admission,
+             int sharded_probes, int fleet_probes, int domain_racks, int domain_zones,
+             double spread_weight, int spread_cap, const FleetAdmissionOptions& admission,
              const FleetOutputOptions& output) {
   if (containers_per_stream <= 0) {
     std::fprintf(stderr, "need at least one container per machine stream\n");
@@ -515,7 +518,7 @@ int CmdFleet(const std::string& machines_csv, int vcpus, int containers_per_stre
   for (const std::string& name : machine_names) {
     MachineSpec spec(MakeMachine(name));
     spec.scheduler.policy = policy_name;
-    spec.scheduler.baseline_id = name == "intel" ? 2 : 1;
+    spec.scheduler.baseline_id = BaselineIdFor(name);
     spec.scheduler.use_interconnect_concern = InterconnectIsAsymmetric(spec.topo);
     baseline_of_group[spec.topo.name()] = spec.scheduler.baseline_id;
     specs.push_back(std::move(spec));
@@ -533,19 +536,21 @@ int CmdFleet(const std::string& machines_csv, int vcpus, int containers_per_stre
   }
   FleetConfig fleet_config;
   fleet_config.dispatch = dispatch_name;
-  // Fleet operations (rebalance/evacuation target searches) consult the
-  // per-cell capacity index unless the full scan is explicitly requested.
-  fleet_config.sharded_fleet_ops = !full_scan_ops;
-  if (fleet_probes > 0) {
-    fleet_config.fleet_probes = fleet_probes;
+  fleet_config.fleet_probes = fleet_probes;
+  const int num_machines = static_cast<int>(machine_names.size());
+  if (domain_racks > num_machines) {
+    std::fprintf(stderr, "--racks %d exceeds the fleet's %d machines\n", domain_racks,
+                 num_machines);
+    return 2;
   }
-  if (domain_racks > static_cast<int>(machine_names.size())) {
-    std::fprintf(stderr, "--racks %d exceeds the fleet's %zu machines\n", domain_racks,
-                 machine_names.size());
+  const int racks = FailureDomainTopology::Uniform(num_machines, domain_racks, 0).NumRacks();
+  if (domain_zones > racks) {
+    std::fprintf(stderr, "--zones %d exceeds the fleet's rack count (%d)\n", domain_zones,
+                 racks);
     return 2;
   }
   fleet_config.domain_racks = domain_racks;
-  fleet_config.domain_zones = domain_zones;  // validated against racks by the fleet
+  fleet_config.domain_zones = domain_zones;
   fleet_config.spread_weight = spread_weight;
   fleet_config.spread_max_per_rack = spread_cap;
   fleet_config.admission = admission.admission;
@@ -655,12 +660,12 @@ int CmdFleet(const std::string& machines_csv, int vcpus, int containers_per_stre
     std::printf("spread dispatch: weight %.2f, max %d per rack (0 = uncapped)\n",
                 fleet_config.spread_weight, fleet_config.spread_max_per_rack);
   }
-  if (fleet_config.sharded_fleet_ops) {
+  if (fleet_config.fleet_probes > 0) {
     std::printf("fleet ops: capacity-index search over %d cells, %d sampled per "
                 "target search\n",
                 fleet.capacity_index().NumCells(), fleet_config.fleet_probes);
   } else {
-    std::printf("fleet ops: full-scan target search (--full-scan-ops)\n");
+    std::printf("fleet ops: full-scan target search (--fleet-probes 0)\n");
   }
   if (fleet.AdmissionActive()) {
     std::printf("admission: '%s' (defer limit %d, %zu tier overrides)\n",
@@ -689,15 +694,8 @@ int CmdFleet(const std::string& machines_csv, int vcpus, int containers_per_stre
     const ImportantPlacementSet& set = it->second;
     fleet.ProvidePlacements(group, set);
     if (uses_model) {
-      std::printf("training a model for (%s, %d vCPUs) on 72 synthetic workloads...\n",
-                  group.c_str(), vcpus);
-      PerformanceModel sim(topo, 0.015, 1);
-      ModelPipeline pipeline(set, sim, baseline_of_group.at(group), 42);
-      Rng train_rng(7);
-      PerfModelConfig model_config;
       fleet.GroupRegistry(group).Register(
-          group, vcpus,
-          pipeline.TrainPerfAuto(SampleTrainingWorkloads(72, train_rng), model_config));
+          group, vcpus, TrainCliModel(topo, set, baseline_of_group.at(group)));
     }
   }
 
@@ -931,7 +929,6 @@ int CmdFleet(const std::string& machines_csv, int vcpus, int containers_per_stre
     json.Field("seed", static_cast<int64_t>(seed));
     json.Field("dispatch", dispatch_name);
     json.Field("policy", policy_name);
-    json.Field("sharded_fleet_ops", fleet_config.sharded_fleet_ops);
     json.Field("fleet_probes", fleet_config.fleet_probes);
     json.Field("racks", fleet.domains().NumRacks());
     json.Field("zones", fleet.domains().NumZones());
@@ -1140,9 +1137,10 @@ bool ParseIntArg(const char* name, const char* text, int* value) {
   return false;
 }
 
-// Parses a probe measurement for `predict`: the whole string is a finite
-// number > 0 (a throughput; the model divides by it).
-bool ParseProbeMeasurement(const char* text, double* value) {
+// Parses a real-valued argument: the whole string is a finite number > 0
+// (`predict`'s probe measurements are throughputs the model divides by;
+// strtod alone would accept "nan" and "inf").
+bool ParsePositiveNumber(const char* text, double* value) {
   char* end = nullptr;
   const double parsed = std::strtod(text, &end);
   if (end == text || *end != '\0' || !std::isfinite(parsed) || parsed <= 0.0) {
@@ -1197,7 +1195,8 @@ void Usage() {
                "  numaplace_cli fleet <machine,machine,...> <vcpus> "
                "<containers-per-machine> [seed] [dispatch] [policy]\n"
                "                [--dispatch <name>] [--cells <N>] [--probes <d>]\n"
-               "                [--fleet-probes <d>] [--full-scan-ops]\n"
+               "                [--fleet-probes <d>]      capacity-index cells per "
+               "fleet-op search (0 = full scan)\n"
                "                [--racks <R>] [--zones <Z>]\n"
                "                [--spread-weight <w>] [--spread-cap <n>]\n"
                "                [--fail <spec>] [--drain <spec>] [--rejoin <spec>]\n"
@@ -1219,7 +1218,7 @@ void Usage() {
                "                [--metrics-out <path>]    JSONL time-series "
                "snapshots\n"
                "                [--metrics-interval <s>]  snapshot spacing in sim "
-               "seconds (default 300)\n");
+               "seconds (>= 1, default 300)\n");
 }
 
 }  // namespace
@@ -1250,7 +1249,7 @@ int main(int argc, char** argv) {
     if (command == "predict" && argc == 5) {
       double perf[2] = {};
       for (int i = 0; i < 2; ++i) {
-        if (!ParseProbeMeasurement(argv[3 + i], &perf[i])) {
+        if (!ParsePositiveNumber(argv[3 + i], &perf[i])) {
           std::fprintf(stderr, "probe measurement '%s' is not a finite number > 0\n",
                        argv[3 + i]);
           return 2;
@@ -1315,8 +1314,7 @@ int main(int argc, char** argv) {
       std::vector<FleetEvent> machine_events;
       int sharded_cells = 0;
       int sharded_probes = 0;
-      bool full_scan_ops = false;
-      int fleet_probes = 0;
+      int fleet_probes = FleetConfig().fleet_probes;
       int domain_racks = 0;
       int domain_zones = 0;
       double spread_weight = 0.0;
@@ -1342,11 +1340,13 @@ int main(int argc, char** argv) {
           continue;
         }
         if (std::strcmp(argv[i], "--metrics-interval") == 0) {
-          char* end = nullptr;
-          const double parsed = i + 1 < argc ? std::strtod(argv[i + 1], &end) : 0.0;
-          if (i + 1 >= argc || end == argv[i + 1] || *end != '\0' || parsed <= 0.0) {
-            std::fprintf(stderr, "--metrics-interval needs a positive number of "
-                                 "seconds\n");
+          // Trace arrivals are tens of seconds apart, so a finer interval
+          // only repeats a state — and a tiny one would ask for a sample
+          // count no file or counter holds.
+          double parsed = 0.0;
+          if (i + 1 >= argc || !ParsePositiveNumber(argv[i + 1], &parsed) || parsed < 1.0) {
+            std::fprintf(stderr, "--metrics-interval needs a finite number of seconds, "
+                                 "at least 1\n");
             return 2;
           }
           ++i;
@@ -1375,10 +1375,6 @@ int main(int argc, char** argv) {
             std::fprintf(stderr, "\n");
             return 2;
           }
-          continue;
-        }
-        if (std::strcmp(argv[i], "--full-scan-ops") == 0) {
-          full_scan_ops = true;
           continue;
         }
         if (std::strcmp(argv[i], "--flash-crowd") == 0) {
@@ -1425,10 +1421,13 @@ int main(int argc, char** argv) {
             std::strcmp(argv[i], "--burst-containers") == 0;
         if (is_cells || is_probes || is_fleet_probes || is_racks || is_zones ||
             is_spread_cap || is_defer_limit || is_bursts || is_burst_containers) {
+          // --fleet-probes 0 selects the full scan; every other count is
+          // positive.
+          const int least = is_fleet_probes ? 0 : 1;
           int parsed = 0;
-          if (i + 1 >= argc || !ParseInt(argv[i + 1], &parsed) || parsed <= 0) {
-            std::fprintf(stderr, "%s needs a positive integer no larger than %d\n", argv[i],
-                         INT_MAX);
+          if (i + 1 >= argc || !ParseInt(argv[i + 1], &parsed) || parsed < least) {
+            std::fprintf(stderr, "%s needs a%s integer no larger than %d\n", argv[i],
+                         least == 0 ? " non-negative" : " positive", INT_MAX);
             return 2;
           }
           ++i;
@@ -1444,10 +1443,9 @@ int main(int argc, char** argv) {
           continue;
         }
         if (std::strcmp(argv[i], "--spread-weight") == 0) {
-          char* end = nullptr;
-          const double parsed = i + 1 < argc ? std::strtod(argv[i + 1], &end) : 0.0;
-          if (i + 1 >= argc || end == argv[i + 1] || *end != '\0' || parsed <= 0.0) {
-            std::fprintf(stderr, "--spread-weight needs a positive number\n");
+          double parsed = 0.0;
+          if (i + 1 >= argc || !ParsePositiveNumber(argv[i + 1], &parsed)) {
+            std::fprintf(stderr, "--spread-weight needs a finite positive number\n");
             return 2;
           }
           ++i;
@@ -1530,9 +1528,8 @@ int main(int argc, char** argv) {
         admission.flash_crowd = true;  // the spike knobs imply the trace shape
       }
       return CmdFleet(argv[2], vcpus, containers, seed, dispatch, policy, machine_events,
-                      sharded_cells, sharded_probes, full_scan_ops, fleet_probes,
-                      domain_racks, domain_zones, spread_weight, spread_cap, admission,
-                      output);
+                      sharded_cells, sharded_probes, fleet_probes, domain_racks,
+                      domain_zones, spread_weight, spread_cap, admission, output);
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
